@@ -64,8 +64,8 @@ int main() {
   util::Table table({"test set", "#tests", "equiv. classes (true: 82)",
                      "distinguished pairs (true: 3997)", "time (ms)"});
 
-  // One engine across every test set: the Figure-3 tests alias suite
-  // members canonically, so later matrices reuse cached verdicts.
+  // One engine (one thread pool) across every test set; each matrix
+  // groups its canonically symmetric tests into one check.
   engine::VerdictEngine eng;
   auto add = [&](const std::string& label,
                  const std::vector<litmus::LitmusTest>& tests) {

@@ -7,8 +7,8 @@
 // SAT-vs-explicit engine ablation.  The sweeps route through the batched
 // engine::VerdictEngine; the `_SerialBaseline` variants keep the seed's
 // hand-rolled per-cell loop for comparison.  Engine sweeps run cold
-// (fresh engine per iteration) and warm (persistent engine, so repeat
-// iterations are pure cache hits).
+// (fresh engine per iteration) and warm (one engine with a file-less
+// verdict store attached, so repeat iterations are pure store hits).
 #include <benchmark/benchmark.h>
 
 #include "core/analysis.h"
@@ -20,6 +20,7 @@
 #include "explore/space.h"
 #include "litmus/catalog.h"
 #include "models/zoo.h"
+#include "store/verdict_store.h"
 
 namespace {
 
@@ -168,7 +169,7 @@ int count_equivalent(const explore::AdmissibilityMatrix& matrix) {
   return equivalent;
 }
 
-/// Engine sweep, cold: a fresh engine (empty cache) per iteration; the
+/// Engine sweep, cold: a fresh engine (no store) per iteration; the
 /// range argument is the thread count (0 = hardware concurrency).
 void BM_Full90ModelExploration_EngineCold(benchmark::State& state) {
   for (auto _ : state) {
@@ -186,28 +187,13 @@ BENCHMARK(BM_Full90ModelExploration_EngineCold)
     ->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
-/// The same cold sweep with the prepared fast path disabled (the PR-1
-/// per-cell core::is_allowed loop), single-threaded: the direct
-/// prepared-vs-PR-1 per-cell comparison.
-void BM_Full90ModelExploration_EngineCold_PR1Path(benchmark::State& state) {
-  for (auto _ : state) {
-    engine::EngineOptions options;
-    options.num_threads = 1;
-    options.prepared = false;
-    engine::VerdictEngine eng(options);
-    const explore::AdmissibilityMatrix matrix(eng, space_models(), suite());
-    if (count_equivalent(matrix) != 8) {
-      state.SkipWithError("expected 8 equivalent pairs");
-    }
-  }
-}
-BENCHMARK(BM_Full90ModelExploration_EngineCold_PR1Path)
-    ->Unit(benchmark::kMillisecond);
-
-/// Engine sweep, warm: one persistent engine, so every iteration after
-/// the first is served from the verdict cache.
+/// Engine sweep, warm: one engine with a file-less verdict store
+/// attached, so every iteration after the first is served from the
+/// store.
 void BM_Full90ModelExploration_EngineWarm(benchmark::State& state) {
+  store::VerdictStore verdicts(store::StoreMeta::from_models(space_models()));
   engine::VerdictEngine eng;
+  eng.set_store(&verdicts);
   for (auto _ : state) {
     const explore::AdmissibilityMatrix matrix(eng, space_models(), suite());
     if (count_equivalent(matrix) != 8) {

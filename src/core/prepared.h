@@ -79,8 +79,8 @@ class PreparedTest {
   PreparedTest(const Program& program, Outcome outcome);
 
   /// Adopts an already-built analysis instead of re-analyzing (the
-  /// batched engine computes cache keys from bare analyses first and
-  /// only prepares the tests that miss).  The analyzed program must
+  /// batched engine builds analyses only for the tests its grouping and
+  /// store leave to evaluate).  The analyzed program must
   /// still outlive the prepared test.
   PreparedTest(Analysis analysis, Outcome outcome);
 

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 
 #include "core/analysis.h"
+#include "core/prepared.h"
 #include "engine/sharded_key_set.h"
 #include "store/verdict_store.h"
 #include "util/check.h"
 #include "util/hash128.h"
+#include "util/mutex.h"
 #include "util/timer.h"
 
 namespace mcmc::engine {
@@ -43,7 +47,6 @@ bool parse_backend(const std::string& text, Backend& out) {
 EngineStats& EngineStats::operator+=(const EngineStats& other) {
   cells += other.cells;
   checks_run += other.checks_run;
-  cache_hits += other.cache_hits;
   dedup_hits += other.dedup_hits;
   store_hits += other.store_hits;
   store_misses += other.store_misses;
@@ -62,7 +65,7 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
 std::string EngineStats::to_string() const {
   std::ostringstream os;
   os << "cells=" << cells << " checks=" << checks_run
-     << " cache_hits=" << cache_hits << " dedup_hits=" << dedup_hits;
+     << " dedup_hits=" << dedup_hits;
   if (store_hits + store_misses > 0) {
     os << " store_hits=" << store_hits << "/" << (store_hits + store_misses);
   }
@@ -78,7 +81,6 @@ std::string EngineStats::to_string() const {
 
 VerdictEngine::VerdictEngine(EngineOptions options) : options_(options) {
   MCMC_REQUIRE(options_.num_threads >= 0);
-  MCMC_REQUIRE(options_.sat_event_threshold >= 0);
 }
 
 VerdictEngine::~VerdictEngine() = default;
@@ -95,12 +97,9 @@ core::Engine VerdictEngine::resolve_backend(int num_events) const {
       return core::Engine::Explicit;
     case Backend::Sat:
       return core::Engine::Sat;
-    case Backend::Adaptive: {
-      // The explicit engine's transitive-closure bitmasks hold 64 events.
-      const int limit =
-          options_.sat_event_threshold < 64 ? options_.sat_event_threshold : 64;
-      return num_events <= limit ? core::Engine::Explicit : core::Engine::Sat;
-    }
+    case Backend::Adaptive:
+      return num_events <= kExplicitMaxEvents ? core::Engine::Explicit
+                                              : core::Engine::Sat;
   }
   MCMC_UNREACHABLE("bad backend");
 }
@@ -112,44 +111,24 @@ WorkStealingPool& VerdictEngine::pool() {
   return *pool_;
 }
 
-std::size_t VerdictEngine::cache_size() const {
-  util::MutexLock lock(cache_mu_);
-  std::size_t total = 0;
-  for (const auto& [key, bucket] : cache_) total += bucket.size();
-  return total;
-}
-
-void VerdictEngine::clear_cache() {
-  util::MutexLock lock(cache_mu_);
-  cache_.clear();
-  pinned_custom_formulas_.clear();
-  pinned_ids_.clear();
-}
-
 std::vector<char> VerdictEngine::run_batch(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests,
     const std::vector<VerdictRequest>& requests) {
-  return run_batch_impl(models, tests, requests, /*persist_verdicts=*/true);
+  return run_batch_impl(models, tests, requests, /*allow_grouping=*/true);
 }
 
 std::vector<char> VerdictEngine::run_batch_impl(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests,
-    const std::vector<VerdictRequest>& requests, bool persist_verdicts,
-    bool use_cache,
+    const std::vector<VerdictRequest>& requests, bool allow_grouping,
     std::vector<std::unique_ptr<core::Analysis>>* premade_analyses) {
   util::Timer timer;
-  const bool cache_enabled = options_.cache_enabled && use_cache;
-  // Batch-level store participation: probing is sound only for
-  // canonical test classes, and the stream fast path (use_cache off)
-  // consults the store itself at stream level, so it is excluded here
-  // the same way the cache is.
-  store::VerdictStore* const vstore =
-      use_cache && options_.canonical_dedup ? store_ : nullptr;
-  // The grouping/fingerprint layer runs for either consumer: the
-  // in-memory cache, the on-disk store, or both.
-  const bool grouped = cache_enabled || vstore != nullptr;
+  // The stream fast path (allow_grouping off) consults the store itself
+  // at stream level, so it is excluded here along with the grouping.
+  store::VerdictStore* const vstore = allow_grouping ? store_ : nullptr;
+  const bool grouped =
+      allow_grouping && (options_.cache_enabled || vstore != nullptr);
   EngineStats stats;
   stats.cells = requests.size();
   std::vector<char> results(requests.size(), 0);
@@ -180,8 +159,9 @@ std::vector<char> VerdictEngine::run_batch_impl(
     if (test_used[static_cast<std::size_t>(t)]) used_tests.push_back(t);
   }
 
-  // ---- Model cache keys.  Structurally identical custom-free formulas
-  // share; formulas with custom predicates are keyed by tree identity. ----
+  // ---- Model keys.  Structurally identical custom-free formulas share
+  // (the store's column key); formulas with custom predicates are keyed
+  // by tree identity, which the batch's `models` keeps alive. ----
   struct ModelKey {
     std::string key;
     bool custom = false;
@@ -192,27 +172,15 @@ std::vector<char> VerdictEngine::run_batch_impl(
   for (int m = 0; m < num_models; ++m) {
     if (!model_used[static_cast<std::size_t>(m)]) continue;
     auto& mk = model_keys[static_cast<std::size_t>(m)];
-    const auto& formula = models[static_cast<std::size_t>(m)].formula();
-    mk.custom = formula.has_custom();
+    const auto& model = models[static_cast<std::size_t>(m)];
+    mk.custom = model.formula().has_custom();
     if (mk.custom) {
       std::ostringstream os;
-      os << "P:" << formula.identity();
+      os << "P:" << model.formula().identity();
       mk.key = os.str();
-      if (cache_enabled) {
-        // Pin the node so its address (= the cache key) cannot be
-        // recycled by a different custom formula while this engine's
-        // cached verdicts reference it.
-        util::MutexLock lock(cache_mu_);
-        if (pinned_ids_.insert(formula.identity()).second) {
-          pinned_custom_formulas_.push_back(formula);
-        }
-      }
-    } else {
-      mk.key = "F:" + formula.to_string();
-    }
-    if (mk.custom || !options_.canonical_dedup) {
       any_structural = true;
     } else {
+      mk.key = store::model_store_key(model);
       any_canonical = true;
     }
   }
@@ -221,9 +189,9 @@ std::vector<char> VerdictEngine::run_batch_impl(
   const bool need_structural = grouped && any_structural;
 
   // ---- Test fingerprints.  128-bit canonical/structural fingerprints
-  // (litmus::canonical_fingerprint) are all the cache layer needs: no
+  // (litmus::canonical_fingerprint) are all the grouping layer needs: no
   // Analysis and no key string is built here.  Analyses are deferred
-  // until the cache and the within-batch dedup have spoken, so only
+  // until the store and the within-batch dedup have spoken, so only
   // tests that actually reach evaluation pay for one. ----
   std::vector<std::unique_ptr<core::PreparedTest>> prepared(tests.size());
   std::vector<std::unique_ptr<core::Analysis>> analyses(tests.size());
@@ -300,8 +268,8 @@ std::vector<char> VerdictEngine::run_batch_impl(
   }
 
   // ---- Group cells into jobs: one evaluation per distinct
-  // (model class, test class) pair, with persistent-cache hits resolved
-  // immediately.  Cache-less batches (the streaming fast path: its
+  // (model class, test class) pair, with store hits resolved
+  // immediately.  Ungrouped batches (the streaming fast path: its
   // canonical filter already proved every test unique) skip the whole
   // grouping layer — requests map 1:1 onto checks with no Job, slot
   // list, or group map allocated. ----
@@ -310,11 +278,11 @@ std::vector<char> VerdictEngine::run_batch_impl(
     int test = 0;
     int model_cls = -1;
     int test_cls = -1;
-    bool from_cache = false;
+    bool from_store = false;
     bool result = false;
     std::vector<std::size_t> slots;
   };
-  // Store columns per model class, resolved once (|-1| = no column:
+  // Store columns per model class, resolved once (-1 = no column:
   // custom-predicate keys, or models outside the store's zoo).
   std::vector<int> store_cols;
   if (vstore != nullptr) {
@@ -324,23 +292,17 @@ std::vector<char> VerdictEngine::run_batch_impl(
     }
   }
 
-  std::vector<Job> jobs;       // from_cache groups stay here too
-  std::size_t live_jobs = 0;   // groups that actually need evaluation
+  std::vector<Job> jobs;       // from_store groups stay here too
+  std::vector<std::size_t> pending;  // jobs that actually need evaluation
   if (grouped) {
-    util::MutexLock lock(cache_mu_);
-    // Per model class, its persistent-cache bucket (looked up once).
-    std::vector<const std::unordered_map<util::Key128, bool, util::Key128Hash>*>
-        buckets(model_class_key.size(), nullptr);
-    std::vector<char> bucket_ready(model_class_key.size(), 0);
     std::unordered_map<std::uint64_t, std::size_t> group_of;
     group_of.reserve(requests.size());
     const auto num_test_classes =
         static_cast<std::uint64_t>(test_class_key.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const auto& r = requests[i];
-      const auto& mk = model_keys[static_cast<std::size_t>(r.model)];
       const int test_cls =
-          (mk.custom || !options_.canonical_dedup)
+          model_keys[static_cast<std::size_t>(r.model)].custom
               ? structural_class[static_cast<std::size_t>(r.test)]
               : canonical_class[static_cast<std::size_t>(r.test)];
       const int model_cls = model_class[static_cast<std::size_t>(r.model)];
@@ -349,13 +311,8 @@ std::vector<char> VerdictEngine::run_batch_impl(
           static_cast<std::uint64_t>(test_cls);
       const auto [it, inserted] = group_of.emplace(pair_id, jobs.size());
       if (!inserted) {
-        Job& job = jobs[it->second];
-        job.slots.push_back(i);
-        if (job.from_cache) {
-          ++stats.cache_hits;
-        } else {
-          ++stats.dedup_hits;
-        }
+        jobs[it->second].slots.push_back(i);
+        ++stats.dedup_hits;
         continue;
       }
       Job job;
@@ -364,63 +321,30 @@ std::vector<char> VerdictEngine::run_batch_impl(
       job.model_cls = model_cls;
       job.test_cls = test_cls;
       job.slots.push_back(i);
-      // One persistent-cache probe per new group.
-      if (cache_enabled) {
-        if (!bucket_ready[static_cast<std::size_t>(model_cls)]) {
-          const auto bucket = cache_.find(
-              *model_class_key[static_cast<std::size_t>(model_cls)]);
-          buckets[static_cast<std::size_t>(model_cls)] =
-              bucket == cache_.end() ? nullptr : &bucket->second;
-          bucket_ready[static_cast<std::size_t>(model_cls)] = 1;
-        }
-        const auto* bucket = buckets[static_cast<std::size_t>(model_cls)];
-        if (bucket != nullptr) {
-          const auto hit =
-              bucket->find(test_class_key[static_cast<std::size_t>(test_cls)]);
-          if (hit != bucket->end()) {
-            job.from_cache = true;
-            job.result = hit->second;
-            ++stats.cache_hits;
-          }
+      // One store probe per new group with a column.
+      const int col =
+          vstore != nullptr ? store_cols[static_cast<std::size_t>(model_cls)]
+                            : -1;
+      if (col >= 0) {
+        const auto hit = vstore->probe_bit(
+            test_class_key[static_cast<std::size_t>(test_cls)], col);
+        if (hit.has_value()) {
+          job.from_store = true;
+          job.result = *hit;
+          ++stats.store_hits;
+        } else {
+          ++stats.store_misses;
         }
       }
-      // Cache miss: one on-disk store probe per new group (canonical
-      // test classes only — custom-model groups have no column).
-      if (!job.from_cache && vstore != nullptr && !mk.custom) {
-        const int col = store_cols[static_cast<std::size_t>(model_cls)];
-        if (col >= 0) {
-          const auto hit = vstore->probe_bit(
-              test_class_key[static_cast<std::size_t>(test_cls)], col);
-          if (hit.has_value()) {
-            job.from_cache = true;
-            job.result = *hit;
-            ++stats.store_hits;
-          } else {
-            ++stats.store_misses;
-          }
-        }
-      }
-      if (!job.from_cache) ++live_jobs;
+      if (!job.from_store) pending.push_back(jobs.size());
       jobs.push_back(std::move(job));
     }
-  } else {
-    live_jobs = requests.size();
   }
+  const std::size_t live_checks = grouped ? pending.size() : requests.size();
 
-  // Compact the evaluation list: indices of jobs needing a real check
-  // (cache path only; the direct path evaluates requests in place).
-  std::vector<std::size_t> pending;
-  if (grouped) {
-    pending.reserve(live_jobs);
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      if (!jobs[j].from_cache) pending.push_back(j);
-    }
-  }
-  const std::size_t live_checks = grouped ? pending.size() : live_jobs;
-
-  // ---- Analyses, now that the cache has spoken: built only for the
+  // ---- Analyses, now that the store has spoken: built only for the
   // tests some live job evaluates.  With the fingerprints above coming
-  // from core::KeyFacts, a dedup- or cache-served test never constructs
+  // from core::KeyFacts, a dedup- or store-served test never constructs
   // an Analysis at all. ----
   std::vector<int> eval_tests;
   if (grouped) {
@@ -451,33 +375,28 @@ std::vector<char> VerdictEngine::run_batch_impl(
   }
 
   // ---- Evaluate the deduplicated jobs across ONE pool pass.  A
-  // cache-miss test's expensive prepared state (rf enumeration +
+  // store-miss test's expensive prepared state (rf enumeration +
   // HbProblem skeletons, adopted from the phase-one analyses instead of
   // re-analyzing) is built by whichever worker touches the test first
   // (std::call_once) and is immutable afterward, so worker threads
   // share it without further synchronization and evaluation of other
-  // tests proceeds while it builds — no prepare/evaluate barrier.  On
-  // cache-heavy streams deduplicated tests never pay for preparation at
-  // all.  The job completing a test's last check frees its prepared
-  // state (every check of it happens-before the freeing decrement), so
-  // peak memory tracks the checks in flight, not the batch size — on
-  // dense streamed chunks that is the difference between tens of MB
-  // and a working set that never leaves the cache. ----
-  const bool prepared_path = options_.prepared && live_checks > 0;
-  std::vector<std::once_flag> prepare_once(prepared_path ? tests.size() : 0);
-  std::vector<std::atomic<std::uint32_t>> checks_left(
-      prepared_path ? tests.size() : 0);
-  if (prepared_path) {
-    if (grouped) {
-      for (const auto j : pending) {
-        checks_left[static_cast<std::size_t>(jobs[j].test)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    } else {
-      for (const auto& r : requests) {
-        checks_left[static_cast<std::size_t>(r.test)].fetch_add(
-            1, std::memory_order_relaxed);
-      }
+  // tests proceeds while it builds — no prepare/evaluate barrier.  The
+  // job completing a test's last check frees its prepared state (every
+  // check of it happens-before the freeing decrement), so peak memory
+  // tracks the checks in flight, not the batch size — on dense streamed
+  // chunks that is the difference between tens of MB and a working set
+  // that never leaves the cache. ----
+  std::vector<std::once_flag> prepare_once(tests.size());
+  std::vector<std::atomic<std::uint32_t>> checks_left(tests.size());
+  if (grouped) {
+    for (const auto j : pending) {
+      checks_left[static_cast<std::size_t>(jobs[j].test)].fetch_add(
+          1, std::memory_order_relaxed);
+    }
+  } else {
+    for (const auto& r : requests) {
+      checks_left[static_cast<std::size_t>(r.test)].fetch_add(
+          1, std::memory_order_relaxed);
     }
   }
   std::atomic<std::size_t> explicit_count{0};
@@ -489,42 +408,32 @@ std::vector<char> VerdictEngine::run_batch_impl(
   std::atomic<std::size_t> tests_prepared{0};
   const auto run_check = [&](int model_idx, int test_idx) -> bool {
     const auto st = static_cast<std::size_t>(test_idx);
-    if (options_.prepared) {
-      std::call_once(prepare_once[st], [&] {
-        prepared[st] = std::make_unique<core::PreparedTest>(
-            std::move(*analyses[st]), tests[st].outcome());
-        analyses[st].reset();
-        skeletons_built.fetch_add(prepared[st]->skeletons().size(),
-                                  std::memory_order_relaxed);
-        tests_prepared.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    const auto& analysis = options_.prepared ? prepared[st]->analysis()
-                                             : *analyses[st];
-    const core::Engine backend = resolve_backend(analysis.num_events());
+    std::call_once(prepare_once[st], [&] {
+      prepared[st] = std::make_unique<core::PreparedTest>(
+          std::move(*analyses[st]), tests[st].outcome());
+      analyses[st].reset();
+      skeletons_built.fetch_add(prepared[st]->skeletons().size(),
+                                std::memory_order_relaxed);
+      tests_prepared.fetch_add(1, std::memory_order_relaxed);
+    });
+    const core::Engine backend =
+        resolve_backend(prepared[st]->analysis().num_events());
     if (backend == core::Engine::Explicit) {
       explicit_count.fetch_add(1, std::memory_order_relaxed);
     } else {
       sat_count.fetch_add(1, std::memory_order_relaxed);
     }
-    bool result;
-    if (options_.prepared) {
-      core::PreparedCheckStats cs;
-      result = prepared[st]->allowed(
-          models[static_cast<std::size_t>(model_idx)], backend, &cs);
-      formula_evals.fetch_add(cs.formula_evals, std::memory_order_relaxed);
-      equivalent_evals.fetch_add(cs.equivalent_pair_evals,
-                                 std::memory_order_relaxed);
-      skeletons_used.fetch_add(cs.skeletons_used, std::memory_order_relaxed);
-      // Last check of this test: release its prepared state (acq_rel —
-      // every earlier check's use happens-before this free).
-      if (checks_left[st].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        prepared[st].reset();
-      }
-    } else {
-      result = core::is_allowed(analysis,
-                                models[static_cast<std::size_t>(model_idx)],
-                                tests[st].outcome(), backend);
+    core::PreparedCheckStats cs;
+    const bool result = prepared[st]->allowed(
+        models[static_cast<std::size_t>(model_idx)], backend, &cs);
+    formula_evals.fetch_add(cs.formula_evals, std::memory_order_relaxed);
+    equivalent_evals.fetch_add(cs.equivalent_pair_evals,
+                               std::memory_order_relaxed);
+    skeletons_used.fetch_add(cs.skeletons_used, std::memory_order_relaxed);
+    // Last check of this test: release its prepared state (acq_rel —
+    // every earlier check's use happens-before this free).
+    if (checks_left[st].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      prepared[st].reset();
     }
     return result;
   };
@@ -547,41 +456,27 @@ std::vector<char> VerdictEngine::run_batch_impl(
   stats.explicit_checks = explicit_count.load();
   stats.sat_checks = sat_count.load();
 
-  if (options_.prepared) {
-    // Per-test work shared across the batch's checks: each check of the
-    // per-cell path would have re-enumerated rf maps and rebuilt every
-    // skeleton it visited.  (Counters were captured at prepare time —
-    // the prepared state itself is already freed test by test.)
-    stats.rf_enums_saved = live_checks - tests_prepared.load();
-    const std::size_t used = skeletons_used.load();
-    const std::size_t built = skeletons_built.load();
-    stats.skeletons_reused = used > built ? used - built : 0;
-    stats.formula_evals = formula_evals.load();
-    const std::size_t equivalent = equivalent_evals.load();
-    stats.formula_evals_saved =
-        equivalent > stats.formula_evals ? equivalent - stats.formula_evals : 0;
-  }
+  // Per-test work shared across the batch's checks: each check of a
+  // per-cell core::is_allowed loop would have re-enumerated rf maps and
+  // rebuilt every skeleton it visited.  (Counters were captured at
+  // prepare time — the prepared state itself is already freed test by
+  // test.)
+  stats.rf_enums_saved = live_checks - tests_prepared.load();
+  const std::size_t used = skeletons_used.load();
+  const std::size_t built = skeletons_built.load();
+  stats.skeletons_reused = used > built ? used - built : 0;
+  stats.formula_evals = formula_evals.load();
+  const std::size_t equivalent = equivalent_evals.load();
+  stats.formula_evals_saved =
+      equivalent > stats.formula_evals ? equivalent - stats.formula_evals : 0;
 
-  // ---- Publish results and feed the persistent cache (grouped path
-  // only: the direct path wrote results in place and persists nothing).
-  if (cache_enabled && persist_verdicts) {
-    util::MutexLock lock(cache_mu_);
-    for (const auto j : pending) {
-      const auto& job = jobs[j];
-      cache_[*model_class_key[static_cast<std::size_t>(job.model_cls)]]
-          .emplace(test_class_key[static_cast<std::size_t>(job.test_cls)],
-                   job.result);
-    }
-  }
-  // Feed the on-disk store: every grouped verdict with a column, cached
-  // or evaluated (rewriting a store-served bit is a no-op, and writing
-  // cache-served ones keeps a part-warm store converging on complete).
-  // One exclusive acquisition covers the whole batch instead of a
-  // lock round trip per cell.
+  // ---- Write the evaluated verdicts that have a column back to the
+  // store under one exclusive acquisition for the whole batch, then
+  // publish results (the direct path wrote them in place). ----
   if (vstore != nullptr) {
     util::ExclusiveLock lock(vstore->mu());
-    for (const auto& job : jobs) {
-      if (model_keys[static_cast<std::size_t>(job.model)].custom) continue;
+    for (const auto j : pending) {
+      const auto& job = jobs[j];
       const int col = store_cols[static_cast<std::size_t>(job.model_cls)];
       if (col >= 0) {
         vstore->set_bit_locked(
@@ -603,13 +498,6 @@ std::vector<char> VerdictEngine::run_batch_impl(
 BitMatrix VerdictEngine::run_matrix(
     const std::vector<core::MemoryModel>& models,
     const std::vector<litmus::LitmusTest>& tests) {
-  return run_matrix_impl(models, tests, /*persist_verdicts=*/true);
-}
-
-BitMatrix VerdictEngine::run_matrix_impl(
-    const std::vector<core::MemoryModel>& models,
-    const std::vector<litmus::LitmusTest>& tests, bool persist_verdicts,
-    bool use_cache) {
   const int num_models = static_cast<int>(models.size());
   const int num_tests = static_cast<int>(tests.size());
   std::vector<VerdictRequest> requests;
@@ -621,8 +509,7 @@ BitMatrix VerdictEngine::run_matrix_impl(
   for (int t = 0; t < num_tests; ++t) {
     for (int m = 0; m < num_models; ++m) requests.push_back({m, t});
   }
-  const auto verdicts =
-      run_batch_impl(models, tests, requests, persist_verdicts, use_cache);
+  const auto verdicts = run_batch(models, tests, requests);
 
   BitMatrix matrix(num_models, num_tests);
   std::size_t i = 0;
@@ -675,11 +562,9 @@ StreamStats VerdictEngine::run_stream(
 
   // Canonical keys are only sound for models built from the built-in
   // predicates; one custom-predicate model (or a caller that re-uses
-  // the novel tests against custom models), or an engine configured
-  // for structural-only dedup (EngineOptions::canonical_dedup off),
-  // forces structural keys for the whole stream filter.
-  bool structural_filter =
-      stream_options.force_structural_keys || !options_.canonical_dedup;
+  // the novel tests against custom models) forces structural keys for
+  // the whole stream filter.
+  bool structural_filter = stream_options.force_structural_keys;
   for (const auto& model : models) {
     structural_filter = structural_filter || model.formula().has_custom();
   }
@@ -936,15 +821,13 @@ StreamStats VerdictEngine::run_stream(
       }
       // When the stream filter deduped by canonical fingerprints, the
       // novel tests are canonically unique: no within-batch group could
-      // ever merge, so skip the batch cache layer instead of
-      // re-deriving every fingerprint it would intern.  (A structural
-      // filter leaves canonical within-batch sharing worthwhile.)
-      const bool batch_cache =
+      // ever merge, so skip the grouping layer instead of re-deriving
+      // every fingerprint it would intern.  (A structural filter leaves
+      // canonical within-batch sharing worthwhile.)
+      const bool group_batch =
           !stream_options.dedup_across_chunks || structural_filter;
       const auto flat =
-          run_batch_impl(models, chunk, requests,
-                         stream_options.persist_verdicts, batch_cache,
-                         &analyses);
+          run_batch_impl(models, chunk, requests, group_batch, &analyses);
       std::size_t slot = 0;
       for (const std::size_t k : eval_pos) {
         for (int m = 0; m < num_models; ++m, ++slot) {

@@ -7,14 +7,16 @@
 //
 //   * per-test Analysis construction, done once per test that actually
 //     reaches evaluation and shared across models — deduplicated and
-//     cache-served tests never pay for one,
-//   * canonical-test deduplication: symmetric tests (thread-permuted,
-//     location-renamed) share verdicts through a persistent cache keyed
-//     by litmus::canonical_fingerprint (128-bit, allocation-free;
+//     store-served tests never pay for one,
+//   * canonical-test grouping: symmetric tests (thread-permuted,
+//     location-renamed) in one batch share one evaluation, keyed by
+//     litmus::canonical_fingerprint (128-bit, allocation-free;
 //     litmus::canonical_key is its audited string form) — falling back
 //     to structural fingerprints for models with custom predicates,
 //     whose semantics may observe raw thread/location identity,
-//   * the prepared-check fast path (core::PreparedTest): per-test rf
+//   * cross-batch reuse through an attached store::VerdictStore (see
+//     set_store; a file-less VerdictStore(meta) is an in-memory cache),
+//   * the prepared check path (core::PreparedTest): per-test rf
 //     enumeration and HbProblem skeletons built once and shared across
 //     every model and worker thread, with the model's must-not-reorder
 //     formula compiled into per-event bitmask rows per cell instead of
@@ -23,8 +25,8 @@
 //     engine, or adaptive (explicit for small instances, SAT beyond the
 //     explicit engine's 64-event bitmask limit),
 //   * a work-stealing std::thread pool parallelizing across cells, and
-//   * per-batch statistics (checks run, cache hits, backend split,
-//     formula evaluations saved, wall time).
+//   * per-batch statistics (checks run, dedup and store hits, backend
+//     split, formula evaluations saved, wall time).
 //
 // explore::AdmissibilityMatrix, model fingerprinting, the examples, and
 // the bench sweeps all route through this engine.
@@ -34,20 +36,14 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/checker.h"
 #include "core/model.h"
-#include "core/prepared.h"
 #include "engine/bit_matrix.h"
 #include "engine/test_stream.h"
 #include "engine/thread_pool.h"
 #include "litmus/test.h"
-#include "util/hash128.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace mcmc::store {
 class VerdictStore;
@@ -56,11 +52,15 @@ struct StreamPersistence;
 
 namespace mcmc::engine {
 
+/// Largest test the explicit engine decides: its transitive-closure
+/// state is one 64-bit reachability row per event.
+inline constexpr int kExplicitMaxEvents = 64;
+
 /// Which admissibility decision procedure evaluates a cell.
 enum class Backend {
   Explicit,  ///< core::Engine::Explicit for every cell (<= 64 events)
   Sat,       ///< core::Engine::Sat for every cell
-  Adaptive,  ///< Explicit below `sat_event_threshold` events, Sat above
+  Adaptive,  ///< Explicit up to kExplicitMaxEvents events, Sat above
 };
 
 [[nodiscard]] std::string to_string(Backend backend);
@@ -73,22 +73,9 @@ struct EngineOptions {
   /// Total evaluation threads, including the caller; 0 means
   /// std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// Master switch for the verdict cache (both within-batch dedup and
-  /// the persistent cross-batch map).
+  /// Group cells by canonical class within a batch; false checks every
+  /// cell directly.  An attached store (set_store) groups regardless.
   bool cache_enabled = true;
-  /// Use canonical keys (thread-permutation / location-renaming
-  /// invariant) where sound; structural keys otherwise.  Disabling
-  /// keeps only exact structural dedup.
-  bool canonical_dedup = true;
-  /// Adaptive backend: instances with more events than this go to SAT.
-  /// The explicit engine's transitive-closure bitmasks cap it at 64.
-  int sat_event_threshold = 64;
-  /// Route checks through the prepared fast path (core::PreparedTest:
-  /// shared rf enumeration + skeletons, compiled reorder masks,
-  /// allocation-free explicit search).  Off = the PR-1 per-cell
-  /// core::is_allowed loop, kept for benchmarking and differential
-  /// testing; verdicts are bit-for-bit identical either way.
-  bool prepared = true;
 };
 
 /// One cell of a batch: indices into the caller's model and test vectors.
@@ -100,8 +87,7 @@ struct VerdictRequest {
 /// Per-batch accounting (also accumulated across an engine's lifetime).
 struct EngineStats {
   std::size_t cells = 0;           ///< verdicts requested
-  std::size_t checks_run = 0;      ///< core::is_allowed invocations
-  std::size_t cache_hits = 0;      ///< served by the persistent cache
+  std::size_t checks_run = 0;      ///< prepared checks evaluated
   std::size_t dedup_hits = 0;      ///< shared within the batch via keys
   std::size_t store_hits = 0;      ///< served by the attached verdict store
   std::size_t store_misses = 0;    ///< store probes that found nothing
@@ -109,9 +95,9 @@ struct EngineStats {
   std::size_t sat_checks = 0;      ///< checks decided by the SAT engine
   std::size_t unique_analyses = 0; ///< Analysis constructions this batch
                                    ///  (tests reaching evaluation only:
-                                   ///  dedup/cache hits build none)
+                                   ///  dedup/store hits build none)
 
-  // Prepared-path accounting (zero when EngineOptions::prepared is off).
+  // Prepared-path accounting.
   std::size_t rf_enums_saved = 0;  ///< enumerate_read_from calls avoided
                                    ///  vs one-per-check (checks minus
                                    ///  distinct tests evaluated)
@@ -121,9 +107,10 @@ struct EngineStats {
                                    ///  matrix traversals + per-pair
                                    ///  fallbacks (custom predicates,
                                    ///  >64-event analyses)
-  std::size_t formula_evals_saved = 0; ///< per-pair F evaluations the
-                                   ///  per-cell path would have run,
-                                   ///  minus the evaluations above
+  std::size_t formula_evals_saved = 0; ///< per-pair F evaluations a
+                                   ///  per-cell core::is_allowed loop
+                                   ///  would have run, minus the
+                                   ///  evaluations above
 
   int threads_used = 1;
   double wall_seconds = 0.0;
@@ -167,12 +154,6 @@ struct StreamOptions {
   /// this when any of *those* models carries custom predicates —
   /// canonical sharing is unsound for them.
   bool force_structural_keys = false;
-  /// Feed the novel verdicts into the engine's persistent verdict
-  /// cache.  Off by default: a million-test stream against 90 models
-  /// would pin |models| x |unique tests| cache entries, while the
-  /// seen-key filter above already provides cross-chunk sharing at
-  /// O(unique tests) memory.
-  bool persist_verdicts = false;
   /// Persistent verdict store consulted per novel test (caller-owned,
   /// may be null).  When every streamed model has a store column and
   /// the stream dedups by canonical fingerprints, a test whose full
@@ -246,7 +227,7 @@ using StreamChunkSink = std::function<void(
     const std::vector<litmus::LitmusTest>& novel_tests,
     const BitMatrix& verdicts, const StreamChunkStats& stats)>;
 
-/// Batched, parallel, cached (model, test) verdict evaluation.
+/// Batched, parallel (model, test) verdict evaluation.
 class VerdictEngine {
  public:
   explicit VerdictEngine(EngineOptions options = {});
@@ -268,7 +249,7 @@ class VerdictEngine {
       const std::vector<litmus::LitmusTest>& tests,
       const std::vector<VerdictRequest>& requests);
 
-  /// Single-cell convenience; still goes through the cache.
+  /// Single-cell convenience; still consults the attached store.
   [[nodiscard]] bool allowed(const core::MemoryModel& model,
                              const litmus::LitmusTest& test);
 
@@ -296,12 +277,12 @@ class VerdictEngine {
                          const StreamOptions& stream_options = {});
 
   /// Attaches a persistent verdict store (caller-owned, may be null to
-  /// detach) consulted by every grouped batch: a (model, test-class)
-  /// pair missing the in-memory cache probes the store before
-  /// evaluating, and evaluated verdicts are written back.  Only models
-  /// with a store column (custom-free, see store::model_store_key)
-  /// participate, and only under canonical dedup — the store holds
-  /// canonical fingerprints exclusively.
+  /// detach) — the engine's only cross-batch cache.  Every batch then
+  /// groups its cells: each (model, canonical class) pair probes the
+  /// store before evaluating, and evaluated verdicts are written back.
+  /// Only models with a store column (custom-free, see
+  /// store::model_store_key) participate — the store holds canonical
+  /// fingerprints exclusively.
   void set_store(store::VerdictStore* store) { store_ = store; }
   [[nodiscard]] store::VerdictStore* store() const { return store_; }
 
@@ -311,8 +292,6 @@ class VerdictEngine {
   [[nodiscard]] const EngineStats& total_stats() const { return total_stats_; }
 
   [[nodiscard]] const EngineOptions& options() const { return options_; }
-  [[nodiscard]] std::size_t cache_size() const;
-  void clear_cache();
 
   /// Threads a batch will actually use (resolves the 0 = hardware
   /// default).
@@ -321,12 +300,12 @@ class VerdictEngine {
  private:
   [[nodiscard]] core::Engine resolve_backend(int num_events) const;
   WorkStealingPool& pool();
-  /// run_batch with control over the cache layer.  `persist_verdicts`
-  /// gates the persistent-cache writes; `use_cache` false skips
-  /// fingerprint computation, interning, and lookups entirely — the
-  /// streaming path passes it for batches whose tests its canonical
-  /// seen-key filter already proved unique (no within-batch group could
-  /// ever merge, so re-deriving fingerprints would be pure overhead).
+  /// run_batch with control over grouping.  `allow_grouping` false
+  /// skips fingerprint computation, interning, and store probes
+  /// entirely — the streaming path passes it for batches whose tests
+  /// its canonical seen-key filter already proved unique (no
+  /// within-batch group could ever merge, so re-deriving fingerprints
+  /// would be pure overhead; the stream probes the store itself).
   /// `premade_analyses`, when given, is aligned with `tests`; entries
   /// present are adopted (moved from) instead of re-analyzing — the
   /// streaming audit mode hands over the analyses it built for the
@@ -334,32 +313,13 @@ class VerdictEngine {
   [[nodiscard]] std::vector<char> run_batch_impl(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests,
-      const std::vector<VerdictRequest>& requests, bool persist_verdicts,
-      bool use_cache = true,
+      const std::vector<VerdictRequest>& requests, bool allow_grouping,
       std::vector<std::unique_ptr<core::Analysis>>* premade_analyses =
           nullptr);
-  [[nodiscard]] BitMatrix run_matrix_impl(
-      const std::vector<core::MemoryModel>& models,
-      const std::vector<litmus::LitmusTest>& tests, bool persist_verdicts,
-      bool use_cache = true);
 
   EngineOptions options_;
   std::unique_ptr<WorkStealingPool> pool_;  // created on first parallel batch
   store::VerdictStore* store_ = nullptr;    // caller-owned, optional
-
-  mutable util::Mutex cache_mu_;
-  /// model key -> (test fingerprint -> verdict).  Two-level so a batch
-  /// resolves each model key string once; the inner map is keyed by the
-  /// 128-bit canonical/structural fingerprint, so no per-test key
-  /// string is ever materialized or retained.
-  std::unordered_map<std::string,
-                     std::unordered_map<util::Key128, bool, util::Key128Hash>>
-      cache_ GUARDED_BY(cache_mu_);
-  /// Custom-predicate formulas are cache-keyed by their node address;
-  /// retaining a copy pins the node so the address cannot be recycled
-  /// by a different formula while its verdicts are cached.
-  std::vector<core::Formula> pinned_custom_formulas_ GUARDED_BY(cache_mu_);
-  std::unordered_set<const void*> pinned_ids_ GUARDED_BY(cache_mu_);
 
   EngineStats last_stats_;
   EngineStats total_stats_;

@@ -302,9 +302,8 @@ DistinguishMatrix distinguishability_streamed(
   if (persisted) stream_options.persistence = &persist;
 
   // Candidates are canonically unique already (the stream deduped
-  // them), and the sweep's verdicts are folded immediately, so the
-  // sweep engine runs cache-less: nothing would ever hit, and a
-  // million-test stream must not pin |models| x |tests| entries.
+  // them), so grouping them would only fingerprint every candidate
+  // again without ever merging two cells.
   engine::EngineOptions sweep_options = eng.options();
   sweep_options.cache_enabled = false;
   engine::VerdictEngine sweep(sweep_options);

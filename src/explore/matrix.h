@@ -7,8 +7,10 @@
 // finishes in seconds).
 //
 // The matrix is a thin wrapper over engine::VerdictEngine: construction
-// is one batched, parallel, cached engine run, rows are packed 64-bit
-// words, and `compare` / `distinguishing_tests` are word-wise sweeps.
+// is one batched, parallel engine run (grouped by canonical class, and
+// served from the engine's verdict store when one is attached), rows are
+// packed 64-bit words, and `compare` / `distinguishing_tests` are
+// word-wise sweeps.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +45,7 @@ class AdmissibilityMatrix {
                       core::Engine engine = core::Engine::Explicit);
 
   /// Runs every (model, test) check through `eng`, sharing its verdict
-  /// cache, thread pool, and backend policy.
+  /// store (if attached), thread pool, and backend policy.
   AdmissibilityMatrix(engine::VerdictEngine& eng,
                       const std::vector<core::MemoryModel>& models,
                       const std::vector<litmus::LitmusTest>& tests);

@@ -1,12 +1,15 @@
 // Crash-safe persistent verdict store.
 //
-// The engine's canonical-key verdict cache dies with the process, so
-// every run re-derives all ~445k canonical-class verdicts and an
-// interrupted full-space stream restarts from zero.  This subsystem is
-// the cache that outlives the process: a versioned, checksummed file
-// mapping 128-bit canonical test fingerprints (util::Key128) to packed
-// per-model verdict words, plus an optional stream checkpoint so an
-// exhaustive run can resume from its last sealed chunk.
+// The engine's only cross-batch verdict cache: VerdictEngine keeps no
+// verdicts between batches of its own, so reuse comes from a store
+// attached with set_store (the stream, litmusd, and the distinguish
+// sweep attach one).  A file-less VerdictStore(meta) is an in-memory
+// cache; one opened on a path outlives the process — without it every
+// run re-derives all ~445k canonical-class verdicts and an interrupted
+// full-space stream restarts from zero.  The file is versioned and
+// checksummed, maps 128-bit canonical test fingerprints (util::Key128)
+// to packed per-model verdict words, and carries an optional stream
+// checkpoint so an exhaustive run can resume from its last sealed chunk.
 //
 // Durability model (see README "Persistence guarantees"):
 //
@@ -92,9 +95,9 @@ inline constexpr std::uint32_t kStoreFormatVersion = 1;
 ///       pinned stream cursors); pre-dep stores wrote 0.
 inline constexpr std::uint32_t kSpaceSchemaVersion = 2;
 
-/// The engine-compatible cache key of a model: the same string the
-/// VerdictEngine keys its persistent cache by, so store columns and
-/// engine model classes match by string equality.  Empty for formulas
+/// The column key of a model: the same string the VerdictEngine keys
+/// its model classes by, so store columns and engine model classes
+/// match by string equality.  Empty for formulas
 /// with custom predicates — their semantics may observe raw identity,
 /// so their verdicts are never persisted.
 [[nodiscard]] std::string model_store_key(const core::MemoryModel& model);

@@ -1,6 +1,7 @@
 // VerdictEngine batch semantics: batched verdicts must equal per-call
 // core::is_allowed, symmetric duplicate tests must share verdicts through
-// the canonical-key cache, and results must not depend on the thread
+// canonical grouping and an attached verdict store, the Adaptive backend
+// must route by event count, and results must not depend on the thread
 // count.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "litmus/catalog.h"
 #include "models/special_fence.h"
 #include "models/zoo.h"
+#include "store/verdict_store.h"
 
 namespace mcmc {
 namespace {
@@ -51,48 +53,75 @@ TEST(VerdictEngineBatch, MatchesPerCallVerdicts) {
   EXPECT_LE(eng.last_stats().unique_analyses, tests.size());
 }
 
-TEST(VerdictEngineBatch, SymmetricDuplicatesHitTheCache) {
-  // Store buffering, and its image under thread exchange + location
-  // renaming: canonically identical, so one evaluation serves both.
+/// Store buffering, and its image under thread exchange + location
+/// renaming: canonically identical, structurally distinct.
+std::vector<litmus::LitmusTest> sb_and_twin() {
   core::Program sb({{core::make_write(0, 1), core::make_read(1, 0)},
                     {core::make_write(1, 1), core::make_read(0, 1)}});
   core::Program sb_twin({{core::make_write(1, 1), core::make_read(0, 0)},
                          {core::make_write(0, 1), core::make_read(1, 1)}});
   core::Outcome both_stale({{0, 0}, {1, 0}});
-  const std::vector<litmus::LitmusTest> tests = {
-      litmus::LitmusTest("sb", sb, both_stale),
-      litmus::LitmusTest("sb-twin", sb_twin, both_stale)};
+  return {litmus::LitmusTest("sb", sb, both_stale),
+          litmus::LitmusTest("sb-twin", sb_twin, both_stale)};
+}
 
+TEST(VerdictEngineBatch, SymmetricDuplicatesHitTheCache) {
+  // The twins share one evaluation within a batch; an attached
+  // file-less store serves a later batch without any check.
+  const auto tests = sb_and_twin();
   ASSERT_EQ(litmus::canonical_key(tests[0]), litmus::canonical_key(tests[1]));
   ASSERT_NE(litmus::structural_key(tests[0]), litmus::structural_key(tests[1]));
 
   const std::vector<core::MemoryModel> models = {models::tso()};
+  store::VerdictStore verdicts(store::StoreMeta::from_models(models));
   engine::VerdictEngine eng;
+  eng.set_store(&verdicts);
   const auto matrix = eng.run_matrix(models, tests);
   EXPECT_EQ(matrix.get(0, 0), matrix.get(0, 1));
   EXPECT_TRUE(matrix.get(0, 0));  // TSO allows SB's stale outcome
   EXPECT_EQ(eng.last_stats().checks_run, 1u);
   EXPECT_GT(eng.last_stats().dedup_hits, 0u);
+  EXPECT_EQ(verdicts.size(), 1u);
 
-  // A later batch is served entirely from the persistent cache.
+  // A later batch is served entirely from the store.
   const auto again = eng.run_matrix(models, tests);
   EXPECT_EQ(again, matrix);
   EXPECT_EQ(eng.last_stats().checks_run, 0u);
-  EXPECT_EQ(eng.last_stats().cache_hits, 2u);
+  EXPECT_GT(eng.last_stats().store_hits, 0u);
+}
+
+TEST(VerdictEngineBatch, CustomPredicateModelsBypassTheStore) {
+  // A custom-predicate model has no store column, so nothing of its
+  // verdicts is stored or shared across batches: on every batch its
+  // thread-swapped twins are checked again, separately, while the
+  // custom-free model beside it is served from the store.
+  const auto tests = sb_and_twin();
+  const std::vector<core::MemoryModel> models = {
+      models::tso(), models::special_fence_chain(1)};
+  ASSERT_TRUE(models[1].formula().has_custom());
+  ASSERT_TRUE(store::model_store_key(models[1]).empty());
+  store::VerdictStore verdicts(store::StoreMeta::from_models(models));
+  engine::VerdictEngine eng;
+  eng.set_store(&verdicts);
+
+  const auto first = eng.run_matrix(models, tests);
+  EXPECT_EQ(eng.last_stats().checks_run, 3u);  // tso once, custom twice
+  EXPECT_EQ(eng.last_stats().store_misses, 1u);
+  EXPECT_EQ(verdicts.size(), 1u);  // the tso class only
+
+  const auto second = eng.run_matrix(models, tests);
+  EXPECT_EQ(second, first);
+  EXPECT_EQ(eng.last_stats().checks_run, 2u);  // both custom twins again
+  EXPECT_EQ(eng.last_stats().store_hits, 1u);
+  EXPECT_EQ(eng.last_stats().dedup_hits, 1u);  // tso's twin, not custom's
+  EXPECT_EQ(verdicts.size(), 1u);
 }
 
 TEST(VerdictEngineBatch, CustomPredicateModelsSkipCanonicalSharing) {
   // Thread-swapped twins must NOT share verdicts under a model whose
   // formula carries an opaque custom predicate: the engine falls back to
   // structural keys, so the twins evaluate separately.
-  core::Program sb({{core::make_write(0, 1), core::make_read(1, 0)},
-                    {core::make_write(1, 1), core::make_read(0, 1)}});
-  core::Program sb_twin({{core::make_write(1, 1), core::make_read(0, 0)},
-                         {core::make_write(0, 1), core::make_read(1, 1)}});
-  core::Outcome both_stale({{0, 0}, {1, 0}});
-  const std::vector<litmus::LitmusTest> tests = {
-      litmus::LitmusTest("sb", sb, both_stale),
-      litmus::LitmusTest("sb-twin", sb_twin, both_stale)};
+  const auto tests = sb_and_twin();
 
   const std::vector<core::MemoryModel> models = {
       models::special_fence_chain(1)};
@@ -124,7 +153,7 @@ TEST(VerdictEngineBatch, ResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(eng1.last_stats().threads_used, 1);
   EXPECT_EQ(eng1.last_stats().checks_run, engN.last_stats().checks_run);
 
-  // And with the cache off (every cell its own job).
+  // And with grouping off (every cell its own job).
   engine::EngineOptions raw_serial = serial;
   raw_serial.cache_enabled = false;
   engine::EngineOptions raw_wide = wide;
@@ -156,6 +185,32 @@ TEST(VerdictEngineBatch, SatAndExplicitBackendsAgree) {
   EXPECT_EQ(sat_eng.last_stats().explicit_checks, 0u);
   EXPECT_GT(explicit_eng.last_stats().explicit_checks, 0u);
   EXPECT_EQ(explicit_eng.last_stats().sat_checks, 0u);
+}
+
+/// One thread of `n` writes: a test with exactly `n` events.
+litmus::LitmusTest writes_only(int n) {
+  std::vector<core::Instruction> thread;
+  for (int i = 0; i < n; ++i) thread.push_back(core::make_write(i % 2, i + 1));
+  return litmus::LitmusTest("w" + std::to_string(n), core::Program({thread}),
+                            core::Outcome());
+}
+
+TEST(VerdictEngineBatch, AdaptiveRoutesByExplicitEventLimit) {
+  const std::vector<core::MemoryModel> models = {models::tso()};
+  engine::VerdictEngine eng;  // Backend::Adaptive by default
+  ASSERT_EQ(eng.options().backend, engine::Backend::Adaptive);
+
+  const auto small = writes_only(engine::kExplicitMaxEvents);
+  ASSERT_EQ(core::Analysis(small.program()).num_events(),
+            engine::kExplicitMaxEvents);
+  EXPECT_TRUE(eng.allowed(models[0], small));
+  EXPECT_EQ(eng.last_stats().explicit_checks, 1u);
+  EXPECT_EQ(eng.last_stats().sat_checks, 0u);
+
+  const auto large = writes_only(engine::kExplicitMaxEvents + 1);
+  EXPECT_TRUE(eng.allowed(models[0], large));
+  EXPECT_EQ(eng.last_stats().explicit_checks, 0u);
+  EXPECT_EQ(eng.last_stats().sat_checks, 1u);
 }
 
 TEST(VerdictEngineBatch, RequestIndicesAreValidated) {

@@ -1,7 +1,8 @@
 // Randomized differential fuzzing of the check pipelines over generated
-// tests: the prepared-explicit fast path, the per-cell (PR-1) path, and
-// the SAT backend must agree bit for bit on a seeded sample of the
-// naive space, for a cross-section of the model zoo.
+// tests: the engine's prepared-explicit path, its SAT backend, and a
+// direct per-cell core::is_allowed loop (the reference oracle) must
+// agree bit for bit on a seeded sample of the naive space, for a
+// cross-section of the model zoo.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,6 +15,7 @@
 #include "enumeration/naive.h"
 #include "explore/space.h"
 #include "models/zoo.h"
+#include "store/verdict_store.h"
 
 namespace mcmc {
 namespace {
@@ -34,6 +36,23 @@ std::vector<core::MemoryModel> model_sample() {
   return models;
 }
 
+/// The oracle: one Analysis per test, then core::is_allowed per cell.
+engine::BitMatrix per_cell_oracle(const std::vector<core::MemoryModel>& models,
+                                  const std::vector<litmus::LitmusTest>& tests) {
+  engine::BitMatrix bits(static_cast<int>(models.size()),
+                         static_cast<int>(tests.size()));
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    const core::Analysis an(tests[t].program());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      if (core::is_allowed(an, models[m], tests[t].outcome(),
+                           core::Engine::Explicit)) {
+        bits.set(static_cast<int>(m), static_cast<int>(t), true);
+      }
+    }
+  }
+  return bits;
+}
+
 TEST(EnumerationFuzz, BackendsAgreeBitForBitOnSampledTests) {
   // ~500 seeded naive-space tests through three independent pipelines.
   enumeration::NaiveOptions bounds;
@@ -42,34 +61,17 @@ TEST(EnumerationFuzz, BackendsAgreeBitForBitOnSampledTests) {
 
   engine::EngineOptions prepared_explicit;
   prepared_explicit.backend = engine::Backend::Explicit;
-
-  engine::EngineOptions per_cell = prepared_explicit;
-  per_cell.prepared = false;
-
   engine::EngineOptions sat;
   sat.backend = engine::Backend::Sat;
 
   engine::VerdictEngine eng_prepared(prepared_explicit);
-  engine::VerdictEngine eng_per_cell(per_cell);
   engine::VerdictEngine eng_sat(sat);
 
   const auto bits_prepared = eng_prepared.run_matrix(models, tests);
-  const auto bits_per_cell = eng_per_cell.run_matrix(models, tests);
-  const auto bits_sat = eng_sat.run_matrix(models, tests);
-
-  EXPECT_EQ(bits_prepared, bits_per_cell);
-  EXPECT_EQ(bits_prepared, bits_sat);
+  EXPECT_EQ(bits_prepared, per_cell_oracle(models, tests));
+  EXPECT_EQ(bits_prepared, eng_sat.run_matrix(models, tests));
   EXPECT_GT(eng_sat.last_stats().sat_checks, 0u);
   EXPECT_GT(eng_prepared.last_stats().explicit_checks, 0u);
-
-  // Spot-check a diagonal stripe against the unbatched reference.
-  for (std::size_t i = 0; i < tests.size(); i += 37) {
-    const std::size_t m = i % models.size();
-    const core::Analysis an(tests[i].program());
-    EXPECT_EQ(bits_prepared.get(static_cast<int>(m), static_cast<int>(i)),
-              core::is_allowed(an, models[m], tests[i].outcome()))
-        << models[m].name() << " on " << tests[i].name();
-  }
 }
 
 TEST(EnumerationFuzz, BackendsAgreeBitForBitOnDepSampledTests) {
@@ -96,26 +98,15 @@ TEST(EnumerationFuzz, BackendsAgreeBitForBitOnDepSampledTests) {
 
   engine::EngineOptions prepared_explicit;
   prepared_explicit.backend = engine::Backend::Explicit;
-  engine::EngineOptions per_cell = prepared_explicit;
-  per_cell.prepared = false;
   engine::EngineOptions sat;
   sat.backend = engine::Backend::Sat;
 
   engine::VerdictEngine eng_prepared(prepared_explicit);
-  engine::VerdictEngine eng_per_cell(per_cell);
   engine::VerdictEngine eng_sat(sat);
 
   const auto bits_prepared = eng_prepared.run_matrix(models, tests);
-  EXPECT_EQ(bits_prepared, eng_per_cell.run_matrix(models, tests));
+  EXPECT_EQ(bits_prepared, per_cell_oracle(models, tests));
   EXPECT_EQ(bits_prepared, eng_sat.run_matrix(models, tests));
-
-  for (std::size_t i = 0; i < tests.size(); i += 29) {
-    const std::size_t m = i % models.size();
-    const core::Analysis an(tests[i].program());
-    EXPECT_EQ(bits_prepared.get(static_cast<int>(m), static_cast<int>(i)),
-              core::is_allowed(an, models[m], tests[i].outcome()))
-        << models[m].name() << " on " << tests[i].name();
-  }
 }
 
 TEST(EnumerationFuzz, CacheAndDedupDoNotChangeVerdicts) {
@@ -128,7 +119,9 @@ TEST(EnumerationFuzz, CacheAndDedupDoNotChangeVerdicts) {
   const auto tests = enumeration::sample_naive_tests(bounds, 200, 20260729);
   const auto models = model_sample();
 
-  engine::VerdictEngine cached{engine::EngineOptions{}};
+  store::VerdictStore verdicts(store::StoreMeta::from_models(models));
+  engine::VerdictEngine cached;
+  cached.set_store(&verdicts);
   engine::EngineOptions raw_options;
   raw_options.cache_enabled = false;
   engine::VerdictEngine raw(raw_options);
@@ -137,9 +130,10 @@ TEST(EnumerationFuzz, CacheAndDedupDoNotChangeVerdicts) {
   EXPECT_EQ(bits_cached, raw.run_matrix(models, tests));
   // The duplicate-rich 2-location sample must actually exercise dedup.
   EXPECT_GT(cached.last_stats().dedup_hits, 0u);
-  // A rerun on the same engine is served by the persistent cache.
+  // A rerun on the same engine is served by the attached store.
   EXPECT_EQ(bits_cached, cached.run_matrix(models, tests));
   EXPECT_EQ(cached.last_stats().checks_run, 0u);
+  EXPECT_GT(cached.last_stats().store_hits, 0u);
 }
 
 TEST(EnumerationFuzz, StreamFingerprintDedupMatchesLegacyKeyClasses) {

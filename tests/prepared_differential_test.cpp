@@ -1,7 +1,8 @@
 // Differential tests pinning the prepared fast path to the seed
 // semantics: every verdict produced through core::PreparedTest (and
-// through the engine's prepared routing) must be bit-for-bit identical
-// to the per-cell core::is_allowed loop it replaced — across the full
+// through the engine, which checks every cell that way) must be
+// bit-for-bit identical to the per-cell core::is_allowed loop — the
+// reference oracle, which lives here and not in the engine — across the full
 // 90-model space x the Corollary-1 suite, both decision engines, custom
 // predicates, and the compiled reorder masks themselves.
 #include <gtest/gtest.h>
@@ -105,14 +106,19 @@ TEST(PreparedDifferential, EngineMatrixIdenticalWithAndWithoutPreparedPath) {
   prepared_options.backend = engine::Backend::Explicit;
   prepared_options.num_threads = 2;
   engine::VerdictEngine prepared_engine(prepared_options);
+  const auto bits = prepared_engine.run_matrix(models, suite);
 
-  engine::EngineOptions pr1_options = prepared_options;
-  pr1_options.prepared = false;
-  engine::VerdictEngine pr1_engine(pr1_options);
-
-  const auto a = prepared_engine.run_matrix(models, suite);
-  const auto b = pr1_engine.run_matrix(models, suite);
-  EXPECT_TRUE(a == b);
+  // The oracle: a direct per-cell core::is_allowed loop over the same
+  // cells.
+  for (std::size_t t = 0; t < suite.size(); ++t) {
+    const core::Analysis an(suite[t].program());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      ASSERT_EQ(bits.get(static_cast<int>(m), static_cast<int>(t)),
+                core::is_allowed(an, models[m], suite[t].outcome(),
+                                 Engine::Explicit))
+          << suite[t].name() << " under " << models[m].name();
+    }
+  }
 
   // The prepared path actually engaged and did strictly less formula
   // work than the per-cell loop it replaced — at least 3x fewer
@@ -122,7 +128,6 @@ TEST(PreparedDifferential, EngineMatrixIdenticalWithAndWithoutPreparedPath) {
   EXPECT_GT(stats.formula_evals, 0u);
   EXPECT_GE(stats.formula_evals_saved, 3 * stats.formula_evals);
   EXPECT_GT(stats.rf_enums_saved, 0u);
-  EXPECT_EQ(pr1_engine.last_stats().formula_evals, 0u);
 }
 
 TEST(PreparedDifferential, StaticallyImpossibleOutcomeIsDisallowed) {
