@@ -6,10 +6,7 @@
 namespace mcmc::core {
 
 PreparedTest::PreparedTest(const Program& program, Outcome outcome)
-    : PreparedTest(Analysis(program), std::move(outcome)) {}
-
-PreparedTest::PreparedTest(Analysis analysis, Outcome outcome)
-    : analysis_(std::move(analysis)), outcome_(std::move(outcome)) {
+    : analysis_(program), outcome_(std::move(outcome)) {
   rf_maps_ = enumerate_read_from(analysis_, outcome_);
   skeletons_.reserve(rf_maps_.size());
   for (const RfMap& rf : rf_maps_) {

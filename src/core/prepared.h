@@ -78,12 +78,6 @@ class PreparedTest {
   /// Analysis).
   PreparedTest(const Program& program, Outcome outcome);
 
-  /// Adopts an already-built analysis instead of re-analyzing (the
-  /// batched engine builds analyses only for the tests its grouping and
-  /// store leave to evaluate).  The analyzed program must
-  /// still outlive the prepared test.
-  PreparedTest(Analysis analysis, Outcome outcome);
-
   [[nodiscard]] const Analysis& analysis() const { return analysis_; }
   [[nodiscard]] const Outcome& outcome() const { return outcome_; }
   /// Rf maps in enumeration order (empty when the outcome is statically

@@ -2,25 +2,28 @@
 //
 // Every result in the paper reduces to "is this outcome allowed under
 // this model?" asked thousands of times.  VerdictEngine owns that loop
-// for the whole repository: callers hand it a batch of (model, test)
-// cells and get back a packed verdict matrix, with the engine handling
+// for the whole repository.  It has two entry points: run_matrix for a
+// materialized models x tests product, and run_stream for a chunked
+// TestSource.  Both reduce to one unit of evaluation, the verdict row
+// of one test class under every model, with the engine handling
 //
-//   * per-test Analysis construction, done once per test that actually
-//     reaches evaluation and shared across models — deduplicated and
+//   * one class-key rule: litmus::canonical_fingerprint (128-bit,
+//     allocation-free; litmus::canonical_key is its audited string
+//     form), so symmetric tests (thread-permuted, location-renamed)
+//     share one row — or structural fingerprints for the whole batch
+//     when any model has custom predicates, whose semantics may observe
+//     raw thread/location identity,
+//   * cross-batch reuse through a store::VerdictStore holding one row
+//     per canonical class: probed once per class with probe_row and
+//     written back under one exclusive lock (see set_store; a file-less
+//     VerdictStore(meta) is an in-memory cache),
+//   * the prepared check path (core::PreparedTest): per-test analysis,
+//     rf enumeration and HbProblem skeletons built once per evaluated
+//     class and shared across every model and worker thread, with the
+//     model's must-not-reorder formula compiled into per-event bitmask
+//     rows per cell instead of re-walked per event pair per rf map; the
+//     state is freed after the class's last check, and dedup- and
 //     store-served tests never pay for one,
-//   * canonical-test grouping: symmetric tests (thread-permuted,
-//     location-renamed) in one batch share one evaluation, keyed by
-//     litmus::canonical_fingerprint (128-bit, allocation-free;
-//     litmus::canonical_key is its audited string form) — falling back
-//     to structural fingerprints for models with custom predicates,
-//     whose semantics may observe raw thread/location identity,
-//   * cross-batch reuse through an attached store::VerdictStore (see
-//     set_store; a file-less VerdictStore(meta) is an in-memory cache),
-//   * the prepared check path (core::PreparedTest): per-test rf
-//     enumeration and HbProblem skeletons built once and shared across
-//     every model and worker thread, with the model's must-not-reorder
-//     formula compiled into per-event bitmask rows per cell instead of
-//     re-walked per event pair per rf map,
 //   * backend selection per cell: the explicit-closure engine, the SAT
 //     engine, or adaptive (explicit for small instances, SAT beyond the
 //     explicit engine's 64-event bitmask limit),
@@ -28,8 +31,9 @@
 //   * per-batch statistics (checks run, dedup and store hits, backend
 //     split, formula evaluations saved, wall time).
 //
-// explore::AdmissibilityMatrix, model fingerprinting, the examples, and
-// the bench sweeps all route through this engine.
+// explore::AdmissibilityMatrix, model fingerprinting, the suite filter,
+// litmusd, the examples, and the bench sweeps all route through this
+// engine.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +48,7 @@
 #include "engine/test_stream.h"
 #include "engine/thread_pool.h"
 #include "litmus/test.h"
+#include "util/hash128.h"
 
 namespace mcmc::store {
 class VerdictStore;
@@ -73,15 +78,9 @@ struct EngineOptions {
   /// Total evaluation threads, including the caller; 0 means
   /// std::thread::hardware_concurrency().
   int num_threads = 0;
-  /// Group cells by canonical class within a batch; false checks every
-  /// cell directly.  An attached store (set_store) groups regardless.
+  /// Group run_matrix's tests by class; false decides every test
+  /// directly.  An attached store (set_store) groups regardless.
   bool cache_enabled = true;
-};
-
-/// One cell of a batch: indices into the caller's model and test vectors.
-struct VerdictRequest {
-  int model = 0;
-  int test = 0;
 };
 
 /// Per-batch accounting (also accumulated across an engine's lifetime).
@@ -122,12 +121,6 @@ struct EngineStats {
 
 /// Options for a streaming run (see VerdictEngine::run_stream).
 struct StreamOptions {
-  /// Skip tests whose dedup key was already seen earlier in the stream
-  /// (canonical keys, or structural keys when any model's formula has
-  /// custom predicates).  Duplicates are counted, not re-evaluated or
-  /// re-delivered: a duplicate's verdicts equal its first
-  /// occurrence's, so downstream aggregation loses nothing.
-  bool dedup_across_chunks = true;
   /// Overlap chunk production with consumption: a producer thread
   /// (engine::ChunkPrefetcher, dedicated — not a pool worker, so this
   /// engages even for a 1-thread engine) materializes the next chunks
@@ -160,7 +153,8 @@ struct StreamOptions {
   /// verdict row is present skips evaluation entirely and evaluated
   /// rows are written back — this is what makes a warm rerun serve
   /// from disk.  Ignored under structural keys (the store holds
-  /// canonical fingerprints only).
+  /// canonical fingerprints only).  The engine's own set_store store
+  /// serves run_matrix only.
   store::VerdictStore* verdict_store = nullptr;
   /// Chunk-granular checkpoint/resume of the stream into
   /// `verdict_store` (null = no checkpointing; requires
@@ -237,28 +231,20 @@ class VerdictEngine {
   VerdictEngine& operator=(const VerdictEngine&) = delete;
 
   /// Evaluates the full `models` x `tests` cross product; bit (m, t) of
-  /// the result is the verdict of model `m` on test `t`.
+  /// the result is the verdict of model `m` on test `t`.  Tests are
+  /// grouped into classes by their keys (unless cache_enabled is off
+  /// and no store is attached), and only the first test of each class
+  /// is decided.
   [[nodiscard]] BitMatrix run_matrix(
       const std::vector<core::MemoryModel>& models,
       const std::vector<litmus::LitmusTest>& tests);
 
-  /// Evaluates an arbitrary batch of cells; `result[i]` is the verdict
-  /// for `requests[i]`.  Request indices must lie within the vectors.
-  [[nodiscard]] std::vector<char> run_batch(
-      const std::vector<core::MemoryModel>& models,
-      const std::vector<litmus::LitmusTest>& tests,
-      const std::vector<VerdictRequest>& requests);
-
-  /// Single-cell convenience; still consults the attached store.
-  [[nodiscard]] bool allowed(const core::MemoryModel& model,
-                             const litmus::LitmusTest& test);
-
   /// Streaming evaluation: pulls chunks from `source` until exhausted,
   /// evaluates the `models` x chunk product for each, and invokes
-  /// `on_chunk` (may be null) after every chunk.  With
-  /// StreamOptions::dedup_across_chunks (the default), tests whose
-  /// canonical fingerprint appeared in an earlier chunk are counted as
-  /// duplicates and skipped — the dedup set stores the 128-bit
+  /// `on_chunk` (may be null) after every chunk.  Tests whose key
+  /// appeared earlier in the stream are counted as duplicates and
+  /// skipped, so each chunk's novel tests are unique classes and each
+  /// is decided once.  The dedup set stores the 128-bit
   /// fingerprints directly (16 bytes per class, no Analysis and no key
   /// string ever materialized; auditable via audit_dedup_keys), so the
   /// peak resident set stays O(chunk size + unique classes) no matter
@@ -277,11 +263,11 @@ class VerdictEngine {
                          const StreamOptions& stream_options = {});
 
   /// Attaches a persistent verdict store (caller-owned, may be null to
-  /// detach) — the engine's only cross-batch cache.  Every batch then
-  /// groups its cells: each (model, canonical class) pair probes the
-  /// store before evaluating, and evaluated verdicts are written back.
-  /// Only models with a store column (custom-free, see
-  /// store::model_store_key) participate — the store holds canonical
+  /// detach) — run_matrix's only cross-batch cache.  Every batch then
+  /// groups its tests: each canonical class probes the store for its
+  /// full row before evaluating, and evaluated rows are written back.
+  /// The store is used only when every model has a store column
+  /// (custom-free, see store::model_store_key) — it holds canonical
   /// fingerprints exclusively.
   void set_store(store::VerdictStore* store) { store_ = store; }
   [[nodiscard]] store::VerdictStore* store() const { return store_; }
@@ -300,22 +286,24 @@ class VerdictEngine {
  private:
   [[nodiscard]] core::Engine resolve_backend(int num_events) const;
   WorkStealingPool& pool();
-  /// run_batch with control over grouping.  `allow_grouping` false
-  /// skips fingerprint computation, interning, and store probes
-  /// entirely — the streaming path passes it for batches whose tests
-  /// its canonical seen-key filter already proved unique (no
-  /// within-batch group could ever merge, so re-deriving fingerprints
-  /// would be pure overhead; the stream probes the store itself).
-  /// `premade_analyses`, when given, is aligned with `tests`; entries
-  /// present are adopted (moved from) instead of re-analyzing — the
-  /// streaming audit mode hands over the analyses it built for the
-  /// legacy-key cross-check.
-  [[nodiscard]] std::vector<char> run_batch_impl(
-      const std::vector<core::MemoryModel>& models,
-      const std::vector<litmus::LitmusTest>& tests,
-      const std::vector<VerdictRequest>& requests, bool allow_grouping,
-      std::vector<std::unique_ptr<core::Analysis>>* premade_analyses =
-          nullptr);
+  /// Runs `range(begin, end)` over contiguous ranges of [0, n) on the
+  /// pool (about four per thread), or once over all of it serially.
+  void for_ranges(std::size_t n,
+                  const std::function<void(std::size_t, std::size_t)>& range);
+  /// The one row evaluator behind both entry points.  Decides the
+  /// verdict rows of tests[rows[k]] into column k of `verdicts`
+  /// (models x rows.size()).  With `vstore` set, each row is first
+  /// probed by its key (`keys` is aligned with `tests`) in the store
+  /// columns `store_cols`; the misses are evaluated test-major on the
+  /// pool through core::PreparedTest and written back under one
+  /// exclusive lock.  Adds checks, store and backend counts to `stats`.
+  void decide_rows(const std::vector<core::MemoryModel>& models,
+                   const std::vector<litmus::LitmusTest>& tests,
+                   const std::vector<int>& rows,
+                   const std::vector<util::Key128>& keys,
+                   store::VerdictStore* vstore,
+                   const std::vector<int>& store_cols, BitMatrix& verdicts,
+                   EngineStats& stats);
 
   EngineOptions options_;
   std::unique_ptr<WorkStealingPool> pool_;  // created on first parallel batch

@@ -1,11 +1,14 @@
 // VerdictEngine batch semantics: batched verdicts must equal per-call
-// core::is_allowed, symmetric duplicate tests must share verdicts through
-// canonical grouping and an attached verdict store, the Adaptive backend
-// must route by event count, and results must not depend on the thread
-// count.
+// core::is_allowed, each test class must be decided once and share its
+// row through canonical grouping and an attached verdict store, a batch
+// with custom-predicate models must group structurally and skip the
+// store, the Adaptive backend must route by event count, and results
+// must not depend on the thread count.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "core/analysis.h"
 #include "core/checker.h"
@@ -91,10 +94,10 @@ TEST(VerdictEngineBatch, SymmetricDuplicatesHitTheCache) {
 }
 
 TEST(VerdictEngineBatch, CustomPredicateModelsBypassTheStore) {
-  // A custom-predicate model has no store column, so nothing of its
-  // verdicts is stored or shared across batches: on every batch its
-  // thread-swapped twins are checked again, separately, while the
-  // custom-free model beside it is served from the store.
+  // One custom-predicate model makes the whole batch group by
+  // structural keys, which the store does not hold: the thread-swapped
+  // twins are two classes, every model checks both on every batch, and
+  // nothing is probed or stored — not even the custom-free model's row.
   const auto tests = sb_and_twin();
   const std::vector<core::MemoryModel> models = {
       models::tso(), models::special_fence_chain(1)};
@@ -105,16 +108,15 @@ TEST(VerdictEngineBatch, CustomPredicateModelsBypassTheStore) {
   eng.set_store(&verdicts);
 
   const auto first = eng.run_matrix(models, tests);
-  EXPECT_EQ(eng.last_stats().checks_run, 3u);  // tso once, custom twice
-  EXPECT_EQ(eng.last_stats().store_misses, 1u);
-  EXPECT_EQ(verdicts.size(), 1u);  // the tso class only
+  EXPECT_EQ(eng.last_stats().checks_run, 4u);  // 2 classes x 2 models
+  EXPECT_EQ(eng.last_stats().dedup_hits, 0u);
+  EXPECT_EQ(eng.last_stats().store_hits + eng.last_stats().store_misses, 0u);
+  EXPECT_EQ(verdicts.size(), 0u);
 
   const auto second = eng.run_matrix(models, tests);
   EXPECT_EQ(second, first);
-  EXPECT_EQ(eng.last_stats().checks_run, 2u);  // both custom twins again
-  EXPECT_EQ(eng.last_stats().store_hits, 1u);
-  EXPECT_EQ(eng.last_stats().dedup_hits, 1u);  // tso's twin, not custom's
-  EXPECT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(eng.last_stats().checks_run, 4u);
+  EXPECT_EQ(verdicts.size(), 0u);
 }
 
 TEST(VerdictEngineBatch, CustomPredicateModelsSkipCanonicalSharing) {
@@ -203,24 +205,94 @@ TEST(VerdictEngineBatch, AdaptiveRoutesByExplicitEventLimit) {
   const auto small = writes_only(engine::kExplicitMaxEvents);
   ASSERT_EQ(core::Analysis(small.program()).num_events(),
             engine::kExplicitMaxEvents);
-  EXPECT_TRUE(eng.allowed(models[0], small));
+  EXPECT_TRUE(eng.run_matrix(models, {small}).get(0, 0));
   EXPECT_EQ(eng.last_stats().explicit_checks, 1u);
   EXPECT_EQ(eng.last_stats().sat_checks, 0u);
 
   const auto large = writes_only(engine::kExplicitMaxEvents + 1);
-  EXPECT_TRUE(eng.allowed(models[0], large));
+  EXPECT_TRUE(eng.run_matrix(models, {large}).get(0, 0));
   EXPECT_EQ(eng.last_stats().explicit_checks, 0u);
   EXPECT_EQ(eng.last_stats().sat_checks, 1u);
 }
 
-TEST(VerdictEngineBatch, RequestIndicesAreValidated) {
-  const std::vector<core::MemoryModel> models = {models::sc()};
-  const std::vector<litmus::LitmusTest> tests = {litmus::store_buffering()};
+TEST(VerdictEngineBatch, MixedCustomBatchMatchesDirectLoop) {
+  // Custom and custom-free models in one batch: structural grouping,
+  // no store, and every bit equal to a direct core::is_allowed loop —
+  // with and without a store attached, at 1 and 4 threads.
+  enumeration::NaiveOptions options;
+  options.num_locations = 2;
+  auto tests = sb_and_twin();
+  for (auto& test : enumeration::sample_naive_tests(options, 30, 515)) {
+    tests.push_back(std::move(test));
+  }
+  auto models = mixed_models();
+  models.push_back(models::special_fence_chain(1));
+
+  engine::BitMatrix oracle(static_cast<int>(models.size()),
+                           static_cast<int>(tests.size()));
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    const core::Analysis an(tests[t].program());
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      oracle.set(static_cast<int>(m), static_cast<int>(t),
+                 core::is_allowed(an, models[m], tests[t].outcome()));
+    }
+  }
+
+  std::set<std::string> structural_classes;
+  for (const auto& test : tests) {
+    structural_classes.insert(litmus::structural_key(test));
+  }
+  ASSERT_GT(structural_classes.size(), 2u);
+
+  for (const int threads : {1, 4}) {
+    for (const bool with_store : {false, true}) {
+      store::VerdictStore verdicts(store::StoreMeta::from_models(models));
+      engine::EngineOptions eo;
+      eo.num_threads = threads;
+      engine::VerdictEngine eng(eo);
+      if (with_store) eng.set_store(&verdicts);
+      EXPECT_EQ(eng.run_matrix(models, tests), oracle)
+          << "threads=" << threads << " store=" << with_store;
+      EXPECT_EQ(eng.last_stats().store_hits + eng.last_stats().store_misses,
+                0u);
+      EXPECT_EQ(verdicts.size(), 0u);
+      // One row per structural class: the twins share none.
+      EXPECT_EQ(eng.last_stats().checks_run,
+                structural_classes.size() * models.size());
+    }
+  }
+}
+
+TEST(VerdictEngineBatch, EachCanonicalClassIsDecidedOnce) {
+  // A 1-location, 2-access sample is full of canonical duplicates:
+  // each class's row is checked once under every model, every other
+  // member is a dedup hit, and the store receives one row per class.
+  enumeration::NaiveOptions options;
+  options.num_locations = 1;
+  options.max_accesses_per_thread = 2;
+  options.fences = false;
+  const auto tests = enumeration::sample_naive_tests(options, 120, 77);
+  const auto models = mixed_models();
+  std::set<std::string> classes;
+  for (const auto& test : tests) classes.insert(litmus::canonical_key(test));
+  ASSERT_LT(classes.size(), tests.size());
+
+  store::VerdictStore verdicts(store::StoreMeta::from_models(models));
   engine::VerdictEngine eng;
-  EXPECT_THROW((void)eng.run_batch(models, tests, {{0, 1}}),
-               std::invalid_argument);
-  EXPECT_THROW((void)eng.run_batch(models, tests, {{-1, 0}}),
-               std::invalid_argument);
+  eng.set_store(&verdicts);
+  const auto matrix = eng.run_matrix(models, tests);
+  const auto& stats = eng.last_stats();
+  EXPECT_EQ(stats.checks_run, classes.size() * models.size());
+  EXPECT_EQ(stats.dedup_hits,
+            (tests.size() - classes.size()) * models.size());
+  EXPECT_EQ(stats.store_misses, classes.size() * models.size());
+  EXPECT_EQ(stats.unique_analyses, classes.size());
+  EXPECT_EQ(verdicts.size(), classes.size());
+
+  // The rows the store now holds serve the whole batch again.
+  EXPECT_EQ(eng.run_matrix(models, tests), matrix);
+  EXPECT_EQ(eng.last_stats().checks_run, 0u);
+  EXPECT_EQ(eng.last_stats().store_hits, classes.size() * models.size());
 }
 
 TEST(AdmissibilityMatrixBounds, AllowedRejectsOutOfRangeIndices) {

@@ -189,13 +189,6 @@ TEST(RunStream, ChunkAccountingAndCrossChunkDedup) {
   // of it (measured: 1253 of 13086 survive).
   EXPECT_GT(stats.dedup_rate(), 0.85);
   EXPECT_GT(stats.novel_tests, 1000u);
-  // Without cross-chunk dedup every test is delivered.
-  enumeration::ExhaustiveStream stream2(options);
-  engine::StreamOptions raw;
-  raw.dedup_across_chunks = false;
-  const auto raw_stats = eng.run_stream(models, stream2, nullptr, raw);
-  EXPECT_EQ(raw_stats.novel_tests, raw_stats.tests_streamed);
-  EXPECT_EQ(raw_stats.duplicate_tests, 0u);
 }
 
 TEST(RunStream, StreamedVerdictsMatchMaterializedBatch) {

@@ -98,8 +98,9 @@ const SliceRun& reference() {
 /// A StreamInterrupted from the kill hook is caught and flagged, with
 /// the partial report preserved — exactly what a wrapper around a
 /// SIGKILLed process would observe.
-SliceRun run_slice_with_store(const std::string& path, store::Fs* fs,
-                              bool resume, int kill_after_seals) {
+SliceRun run_slice_with_store(
+    const std::string& path, store::Fs* fs, bool resume, int kill_after_seals,
+    const enumeration::ExhaustiveOptions& space = slice_options()) {
   SliceRun run;
   const auto& models = ninety_models();
   auto opened =
@@ -118,7 +119,7 @@ SliceRun run_slice_with_store(const std::string& path, store::Fs* fs,
   options.persistence = &persistence;
 
   engine::VerdictEngine eng;
-  CountingSource stream(slice_options());
+  CountingSource stream(space);
   try {
     run.matrix = explore::distinguishability_streamed(
         eng, models, stream, options, &run.report);
@@ -226,6 +227,26 @@ TEST_F(StoreRecovery, KillThenResumeReproducesSliceBitForBit) {
       path_, explore::harness_store_meta(ninety_models()));
   ASSERT_EQ(opened.outcome, store::OpenOutcome::Loaded);
   EXPECT_FALSE(opened.store->checkpoint().has_value());
+}
+
+// A checkpoint from the other space must be rejected whole.  The
+// with-dep slice's cursor does not fit the no-dep stream, and its sink
+// state would pass the harness's own checks, so the source must be
+// asked first: a resume that adopted the sink and then restarted the
+// source would fold the no-dep slice on top of the with-dep one.
+TEST_F(StoreRecovery, CrossSpaceCheckpointIsRejectedWhole) {
+  enumeration::ExhaustiveOptions with_deps = slice_options();
+  with_deps.bounds.deps = true;
+  const SliceRun killed = run_slice_with_store(path_, nullptr, false, 2,
+                                               with_deps);
+  ASSERT_TRUE(killed.interrupted);
+
+  const SliceRun resumed = run_slice_with_store(path_, nullptr, true, -1);
+  ASSERT_FALSE(resumed.interrupted);
+  ASSERT_EQ(resumed.outcome, store::OpenOutcome::Loaded);
+  expect_matches_reference(resumed);
+  // Nothing was resumed: the whole no-dep slice streamed again.
+  EXPECT_EQ(resumed.tests_delivered, reference().report.stream.tests_streamed);
 }
 
 // A warm rerun against the completed store must serve essentially every

@@ -1,7 +1,7 @@
 // The parallel streaming pipeline: determinism under any thread count,
 // hash-based sharded dedup (with collision audit), producer-overlap
 // chunk hand-off, and exception propagation from pool tasks through
-// run_batch / run_stream.
+// run_matrix / run_stream.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -221,7 +221,7 @@ TEST(ChunkPrefetcher, ProducerExceptionSurfacesAfterEarlierChunks) {
 }
 
 // ---------------------------------------------------------------------------
-// Exception propagation: pool -> run_batch -> run_stream
+// Exception propagation: pool -> run_matrix -> run_stream
 // ---------------------------------------------------------------------------
 
 TEST(PoolExceptions, FirstTaskExceptionRethrownAndPoolReusable) {
@@ -263,19 +263,14 @@ core::MemoryModel throwing_model() {
       }));
 }
 
-TEST(EngineExceptions, ThrowingPredicateSurfacesFromRunBatch) {
+TEST(EngineExceptions, ThrowingPredicateSurfacesFromRunMatrix) {
   for (const int threads : {1, 4}) {
     engine::EngineOptions options;
     options.num_threads = threads;
     engine::VerdictEngine eng(options);
     const auto suite = enumeration::corollary1_suite(false);
     const std::vector<core::MemoryModel> models = {throwing_model()};
-    std::vector<engine::VerdictRequest> requests;
-    for (int t = 0; t < static_cast<int>(suite.size()); ++t) {
-      requests.push_back({0, t});
-    }
-    EXPECT_THROW((void)eng.run_batch(models, suite, requests),
-                 std::runtime_error)
+    EXPECT_THROW((void)eng.run_matrix(models, suite), std::runtime_error)
         << "threads=" << threads;
 
     // The engine (and its pool) must remain usable afterwards.
