@@ -26,12 +26,9 @@
 //   --chunk N           tests per chunk (default 4096)
 //   --threads N         engine threads (default: hardware concurrency)
 //   --backend B         explicit | sat | adaptive (default: adaptive)
-//   --shards N          dedup-set mutex stripes (default 64)
 //   --no-filter         disable the monotone-extremes prefilter
-//   --no-overlap        disable producer-thread chunk prefetching
-//   --audit             collision-audit the hash-based dedup (more RAM)
-//   --verify-serial     re-run single-threaded, require a bit-for-bit
-//                       identical distinguishability matrix
+//   --verify-serial     re-run on one engine thread, require a
+//                       bit-for-bit identical distinguishability matrix
 //   --progress N        print chunk stats every N chunks (default 64)
 //   --json FILE         also write the run summary (bounds, counts,
 //                       stage breakdown, throughput, matrix outcome) as
@@ -112,14 +109,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "unknown backend '%s'\n", argv[i]);
         return 2;
       }
-    } else if (arg == "--shards" && int_arg(1, 1 << 16, v)) {
-      harness.stream.dedup_shards = static_cast<int>(v);
     } else if (arg == "--no-filter") {
       harness.filter_extremes = false;
-    } else if (arg == "--no-overlap") {
-      harness.stream.overlap_production = false;
-    } else if (arg == "--audit") {
-      harness.stream.audit_dedup_keys = true;
     } else if (arg == "--verify-serial") {
       verify_serial = true;
     } else if (arg == "--progress" && int_arg(1, 1 << 20, v)) {
@@ -146,8 +137,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--max-accesses N] [--locations N] [--no-fences]"
                    " [--with-deps]"
-                   " [--chunk N] [--threads N] [--backend B] [--shards N]"
-                   " [--no-filter] [--no-overlap] [--audit] [--verify-serial]"
+                   " [--chunk N] [--threads N] [--backend B]"
+                   " [--no-filter] [--verify-serial]"
                    " [--progress N] [--json FILE] [--store FILE] [--resume]"
                    " [--checkpoint-every N] [--require-store-hit-rate R]"
                    " [--kill-after-seals N]\n",
@@ -249,11 +240,8 @@ int main(int argc, char** argv) {
   program_tally.absorb(drained_programs);
 
   std::printf("\nstream: %s\n", report.stream.to_string().c_str());
-  std::printf("pipeline stages: %s%s; dedup set: %d shards\n",
-              report.stream.stages.to_string().c_str(),
-              report.stream.overlapped ? " (produce overlapped with consume)"
-                                       : "",
-              report.stream.dedup_shards);
+  std::printf("pipeline stages: %s (produce overlapped with consume)\n",
+              report.stream.stages.to_string().c_str());
   std::printf("throughput: %.0f streamed tests/sec (%.1fs wall, %d threads)\n",
               wall > 0
                   ? static_cast<double>(report.stream.tests_streamed) / wall
@@ -365,10 +353,7 @@ int main(int argc, char** argv) {
     enumeration::ExhaustiveStream base_stream(base_opts);
     engine::VerdictEngine base_eng(engine_options);
     const std::vector<core::MemoryModel> probes = {models[0], models[1]};
-    engine::StreamOptions base_so = harness.stream;
-    base_so.audit_dedup_keys = false;
-    const auto base_stats =
-        base_eng.run_stream(probes, base_stream, nullptr, base_so);
+    const auto base_stats = base_eng.run_stream(probes, base_stream, nullptr);
     norun_keys_ns = base_stats.keys_ns_per_test();
     nodep_baseline_tests = base_stats.tests_streamed;
     nodep_keys_seconds = base_stats.stages.keys;
@@ -379,13 +364,12 @@ int main(int argc, char** argv) {
   }
 
   // ---- The serial-vs-parallel determinism guard: the same stream run
-  // on one thread, no producer overlap, must induce the identical
-  // matrix bit for bit. ----
+  // on one engine thread must induce the identical matrix bit for
+  // bit. ----
   if (verify_serial) {
     engine::EngineOptions serial_options = engine_options;
     serial_options.num_threads = 1;
     explore::TheoremHarnessOptions serial_harness = harness;
-    serial_harness.stream.overlap_production = false;
     // The guard proves the parallel pipeline deterministic by full
     // recomputation — a store would let it serve answers instead of
     // deriving them.
@@ -407,7 +391,7 @@ int main(int argc, char** argv) {
         by_serial == by_naive &&
         serial_report.stream.tests_streamed == report.stream.tests_streamed &&
         serial_report.stream.novel_tests == report.stream.novel_tests;
-    std::printf("\nserial re-run (1 thread, no overlap): %.1fs, "
+    std::printf("\nserial re-run (1 engine thread): %.1fs, "
                 "matrix + stream accounting vs parallel run: %s\n",
                 serial_timer.seconds(),
                 identical ? "IDENTICAL (bit for bit)" : "MISMATCH");
@@ -433,7 +417,7 @@ int main(int argc, char** argv) {
     }
     const auto& s = report.stream;
     std::fprintf(js, "{\n");
-    std::fprintf(js, "  \"schema_version\": 3,\n");
+    std::fprintf(js, "  \"schema_version\": 4,\n");
     std::fprintf(js, "  \"zoo_fingerprint\": \"%016llx%016llx\",\n",
                  static_cast<unsigned long long>(zoo_fp.hi),
                  static_cast<unsigned long long>(zoo_fp.lo));
@@ -473,10 +457,6 @@ int main(int argc, char** argv) {
       std::fprintf(js, "  \"keys_cost_within_2x\": %s,\n",
                    run_keys_ns <= 2.0 * norun_keys_ns ? "true" : "false");
     }
-    std::fprintf(js, "  \"produce_overlapped\": %s,\n",
-                 s.overlapped ? "true" : "false");
-    std::fprintf(js, "  \"dedup_audit\": %s,\n",
-                 harness.stream.audit_dedup_keys ? "true" : "false");
     std::fprintf(js, "  \"extremes_prefilter\": %s,\n",
                  harness.filter_extremes ? "true" : "false");
     std::fprintf(js, "  \"candidate_tests\": %zu,\n", report.candidate_tests);

@@ -7,8 +7,7 @@
 // The full 90-model x Corollary-1-suite sweep routes through the batched
 // engine::VerdictEngine and is checked bit-for-bit against the serial
 // seed path (per-cell core::is_allowed loop) it replaced, reporting the
-// speedup plus the engine's dedup / backend / formula-evaluation
-// statistics.
+// speedup plus the engine's dedup / backend statistics.
 //
 // Flags:
 //   --threads N      engine threads (default: hardware concurrency)

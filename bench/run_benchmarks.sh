@@ -10,8 +10,12 @@
 # skipped at configure time this script reports that and exits 0 so CI
 # smoke jobs degrade gracefully on hosts without the library.
 #
-# Extra arguments after the first two are forwarded to bench_runtime,
-# e.g. --benchmark_filter=BM_SingleCheck or --benchmark_repetitions=3.
+# Each benchmark runs 5 repetitions and the JSON keeps only their
+# aggregates (mean, median, stddev, cv): back-to-back single runs of
+# one binary can differ by a third on a shared host, so one run is not
+# a figure to compare.  Extra arguments after the first two are
+# forwarded to bench_runtime after these defaults, so they win, e.g.
+# --benchmark_filter=BM_SingleCheck or --benchmark_repetitions=1.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -26,6 +30,8 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 "$BIN" --benchmark_format=json --benchmark_out="$OUT_JSON" \
-       --benchmark_out_format=json "$@"
+       --benchmark_out_format=json \
+       --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+       "$@"
 
 echo "run_benchmarks: wrote $OUT_JSON"

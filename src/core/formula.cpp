@@ -114,8 +114,8 @@ bool Formula::eval(const Analysis& analysis, EventId x, EventId y) const {
   return Rec::go(*node_, analysis, x, y);
 }
 
-std::size_t Formula::eval_po_matrix(const Analysis& analysis,
-                                    std::array<std::uint64_t, 64>& rows) const {
+void Formula::eval_po_matrix(const Analysis& analysis,
+                             std::array<std::uint64_t, 64>& rows) const {
   MCMC_REQUIRE_MSG(analysis.masks_valid(),
                    "eval_po_matrix needs a <= 64-event analysis");
   // One frame per subformula: row x is the mask of events y for which
@@ -125,7 +125,7 @@ std::size_t Formula::eval_po_matrix(const Analysis& analysis,
     std::array<std::uint64_t, 64> rows;
   };
   struct Rec {
-    static std::size_t atom(const Node& nd, const Analysis& an, Matrix& out) {
+    static void atom(const Node& nd, const Analysis& an, Matrix& out) {
       const int n = an.num_events();
       const std::uint64_t full = n == 64 ? ~0ULL : (1ULL << n) - 1;
       const auto fill = [&](auto&& row_of) {
@@ -133,7 +133,6 @@ std::size_t Formula::eval_po_matrix(const Analysis& analysis,
           out.rows[static_cast<std::size_t>(x)] = row_of(x);
         }
       };
-      std::size_t pair_evals = 0;
       switch (nd.atom) {
         case Atom::True:
           fill([&](EventId) { return full; });
@@ -177,27 +176,26 @@ std::size_t Formula::eval_po_matrix(const Analysis& analysis,
             while (todo != 0) {
               const int y = __builtin_ctzll(todo);
               todo &= todo - 1;
-              ++pair_evals;
               if (nd.custom_pred(an, x, y)) row |= 1ULL << y;
             }
             out.rows[static_cast<std::size_t>(x)] = row;
           }
           break;
       }
-      return pair_evals;
     }
 
-    static std::size_t go(const Node& nd, const Analysis& an, Matrix& out) {
+    static void go(const Node& nd, const Analysis& an, Matrix& out) {
       const int n = an.num_events();
       switch (nd.kind) {
         case Node::Kind::Atom:
-          return atom(nd, an, out);
+          atom(nd, an, out);
+          return;
         case Node::Kind::And:
         case Node::Kind::Or: {
-          std::size_t pair_evals = go(*nd.children.front(), an, out);
+          go(*nd.children.front(), an, out);
           for (std::size_t c = 1; c < nd.children.size(); ++c) {
             Matrix child;
-            pair_evals += go(*nd.children[c], an, child);
+            go(*nd.children[c], an, child);
             for (EventId x = 0; x < n; ++x) {
               const auto sx = static_cast<std::size_t>(x);
               if (nd.kind == Node::Kind::And) {
@@ -207,7 +205,7 @@ std::size_t Formula::eval_po_matrix(const Analysis& analysis,
               }
             }
           }
-          return pair_evals;
+          return;
         }
       }
       MCMC_UNREACHABLE("bad node kind");
@@ -215,14 +213,13 @@ std::size_t Formula::eval_po_matrix(const Analysis& analysis,
   };
 
   Matrix m;
-  const std::size_t pair_evals = Rec::go(*node_, analysis, m);
+  Rec::go(*node_, analysis, m);
   const int n = analysis.num_events();
   for (EventId x = 0; x < n; ++x) {
     rows[static_cast<std::size_t>(x)] =
         m.rows[static_cast<std::size_t>(x)] & analysis.po_mask(x);
   }
   for (int x = n; x < 64; ++x) rows[static_cast<std::size_t>(x)] = 0;
-  return pair_evals;
 }
 
 bool Formula::is_false() const {

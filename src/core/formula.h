@@ -66,10 +66,9 @@ class Formula {
   /// Built-in atoms combine the analysis' precomputed bitmask rows
   /// word-wise; custom-predicate atoms fall back to per-pair calls.
   /// Requires `analysis.masks_valid()` (at most 64 events); performs no
-  /// heap allocation for custom-free formulas.  Returns the number of
-  /// per-pair fallback evaluations performed (0 when custom-free).
-  std::size_t eval_po_matrix(const Analysis& analysis,
-                             std::array<std::uint64_t, 64>& rows) const;
+  /// heap allocation for custom-free formulas.
+  void eval_po_matrix(const Analysis& analysis,
+                      std::array<std::uint64_t, 64>& rows) const;
 
   /// Renders the formula, e.g. "(Write(x) & Write(y)) | Fence(x) | Fence(y)".
   [[nodiscard]] std::string to_string() const;

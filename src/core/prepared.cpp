@@ -14,33 +14,24 @@ PreparedTest::PreparedTest(const Program& program, Outcome outcome)
   }
 }
 
-void PreparedTest::compile_mask(const MemoryModel& model, ReorderMask& out,
-                                PreparedCheckStats* stats) const {
+void PreparedTest::compile_mask(const MemoryModel& model,
+                                ReorderMask& out) const {
   out.num_events = analysis_.num_events();
-  const std::size_t pair_evals =
-      model.formula().eval_po_matrix(analysis_, out.rows);
-  if (stats != nullptr) stats->formula_evals += 1 + pair_evals;
+  model.formula().eval_po_matrix(analysis_, out.rows);
 }
 
-bool PreparedTest::allowed(const MemoryModel& model, Engine engine,
-                           PreparedCheckStats* stats) const {
+bool PreparedTest::allowed(const MemoryModel& model, Engine engine) const {
   if (rf_maps_.empty()) return false;
   if (engine == Engine::Explicit || analysis_.masks_valid()) {
     MCMC_REQUIRE_MSG(analysis_.masks_valid(),
                      "explicit engine supports up to 64 events");
     ReorderMask mask;
-    compile_mask(model, mask, stats);
-    if (engine == Engine::Explicit) return allowed_explicit(mask, stats);
+    compile_mask(model, mask);
+    if (engine == Engine::Explicit) return allowed_explicit(mask);
     // SAT on a small instance: materialize each problem from the mask +
     // skeleton (the SAT encoding needs explicit edge lists anyway).
     const int n = analysis_.num_events();
-    for (std::size_t k = 0; k < skeletons_.size(); ++k) {
-      const HbSkeleton& skel = skeletons_[k];
-      if (stats != nullptr) {
-        ++stats->skeletons_used;
-        stats->equivalent_pair_evals +=
-            static_cast<std::size_t>(analysis_.num_po_pairs());
-      }
+    for (const HbSkeleton& skel : skeletons_) {
       if (skel.infeasible) continue;
       HbProblem p;
       p.num_events = n;
@@ -58,11 +49,10 @@ bool PreparedTest::allowed(const MemoryModel& model, Engine engine,
     }
     return false;
   }
-  return allowed_via_problems(model, engine, stats);
+  return allowed_via_problems(model, engine);
 }
 
-bool PreparedTest::allowed_explicit(const ReorderMask& mask,
-                                    PreparedCheckStats* stats) const {
+bool PreparedTest::allowed_explicit(const ReorderMask& mask) const {
   const int n = analysis_.num_events();
   detail::ClosureSearch search(n);
   // Base closure over the model's program-order edges, built once and
@@ -80,15 +70,7 @@ bool PreparedTest::allowed_explicit(const ReorderMask& mask,
     }
   }
 
-  for (std::size_t k = 0; k < skeletons_.size(); ++k) {
-    const HbSkeleton& skel = skeletons_[k];
-    if (stats != nullptr) {
-      ++stats->skeletons_used;
-      // The per-cell path would rebuild this rf map's HbProblem,
-      // re-evaluating F on every po pair.
-      stats->equivalent_pair_evals +=
-          static_cast<std::size_t>(analysis_.num_po_pairs());
-    }
+  for (const HbSkeleton& skel : skeletons_) {
     if (skel.infeasible) continue;
     detail::Reach64 reach = base;
     bool ok = true;
@@ -107,8 +89,7 @@ bool PreparedTest::allowed_explicit(const ReorderMask& mask,
 }
 
 bool PreparedTest::allowed_via_problems(const MemoryModel& model,
-                                        Engine engine,
-                                        PreparedCheckStats* stats) const {
+                                        Engine engine) const {
   // Beyond 64 events there are no bitmask rows; evaluate F per pair once
   // (still hoisted out of the per-rf-map loop) and share the edge list.
   const int n = analysis_.num_events();
@@ -116,17 +97,10 @@ bool PreparedTest::allowed_via_problems(const MemoryModel& model,
   for (EventId x = 0; x < n; ++x) {
     for (EventId y = 0; y < n; ++y) {
       if (x == y || !analysis_.po(x, y)) continue;
-      if (stats != nullptr) ++stats->formula_evals;
       if (model.must_not_reorder(analysis_, x, y)) po_forced.emplace_back(x, y);
     }
   }
-  for (std::size_t k = 0; k < skeletons_.size(); ++k) {
-    const HbSkeleton& skel = skeletons_[k];
-    if (stats != nullptr) {
-      ++stats->skeletons_used;
-      stats->equivalent_pair_evals +=
-          static_cast<std::size_t>(analysis_.num_po_pairs());
-    }
+  for (const HbSkeleton& skel : skeletons_) {
     if (skel.infeasible) continue;
     HbProblem p;
     p.num_events = n;

@@ -47,27 +47,6 @@ struct ReorderMask {
   std::array<std::uint64_t, 64> rows{};
 };
 
-/// Accounting of prepared checks, aggregated into engine::EngineStats.
-struct PreparedCheckStats {
-  /// Formula evaluations actually performed: one per compiled matrix
-  /// traversal plus one per per-pair fallback (custom predicates or
-  /// >64-event analyses).
-  std::size_t formula_evals = 0;
-  /// Per-pair F evaluations the unprepared per-cell path would have
-  /// performed for the same verdict (po pairs x rf maps it would try,
-  /// honoring its first-hit early exit).
-  std::size_t equivalent_pair_evals = 0;
-  /// Skeletons consulted instead of rebuilt.
-  std::size_t skeletons_used = 0;
-
-  PreparedCheckStats& operator+=(const PreparedCheckStats& other) {
-    formula_evals += other.formula_evals;
-    equivalent_pair_evals += other.equivalent_pair_evals;
-    skeletons_used += other.skeletons_used;
-    return *this;
-  }
-};
-
 /// One litmus test prepared for checking against many models: the
 /// model-independent skeleton of the admissibility question.  Immutable
 /// after construction and safe to share across threads.
@@ -90,22 +69,18 @@ class PreparedTest {
   /// Compiles the model's F into row masks against this analysis via
   /// one Formula::eval_po_matrix traversal.  Requires
   /// `analysis().masks_valid()`.
-  void compile_mask(const MemoryModel& model, ReorderMask& out,
-                    PreparedCheckStats* stats = nullptr) const;
+  void compile_mask(const MemoryModel& model, ReorderMask& out) const;
 
   /// Decides whether the outcome is allowed under `model` — the same
   /// verdict as core::is_allowed(analysis, model, outcome, engine).
   /// With Engine::Explicit (<= 64 events) the check is allocation-free.
   [[nodiscard]] bool allowed(const MemoryModel& model,
-                             Engine engine = Engine::Explicit,
-                             PreparedCheckStats* stats = nullptr) const;
+                             Engine engine = Engine::Explicit) const;
 
  private:
-  [[nodiscard]] bool allowed_explicit(const ReorderMask& mask,
-                                      PreparedCheckStats* stats) const;
+  [[nodiscard]] bool allowed_explicit(const ReorderMask& mask) const;
   [[nodiscard]] bool allowed_via_problems(const MemoryModel& model,
-                                          Engine engine,
-                                          PreparedCheckStats* stats) const;
+                                          Engine engine) const;
 
   Analysis analysis_;
   Outcome outcome_;

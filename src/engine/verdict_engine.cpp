@@ -9,7 +9,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "core/analysis.h"
 #include "core/prepared.h"
 #include "engine/sharded_key_set.h"
 #include "store/verdict_store.h"
@@ -93,10 +92,6 @@ EngineStats& EngineStats::operator+=(const EngineStats& other) {
   explicit_checks += other.explicit_checks;
   sat_checks += other.sat_checks;
   unique_analyses += other.unique_analyses;
-  rf_enums_saved += other.rf_enums_saved;
-  skeletons_reused += other.skeletons_reused;
-  formula_evals += other.formula_evals;
-  formula_evals_saved += other.formula_evals_saved;
   if (other.threads_used > threads_used) threads_used = other.threads_used;
   wall_seconds += other.wall_seconds;
   return *this;
@@ -110,12 +105,8 @@ std::string EngineStats::to_string() const {
     os << " store_hits=" << store_hits << "/" << (store_hits + store_misses);
   }
   os << " backends=explicit:" << explicit_checks << "/sat:" << sat_checks
-     << " analyses=" << unique_analyses
-     << " rf_enums_saved=" << rf_enums_saved
-     << " skeletons_reused=" << skeletons_reused
-     << " formula_evals=" << formula_evals << " (saved "
-     << formula_evals_saved << ")"
-     << " threads=" << threads_used << " wall=" << wall_seconds << "s";
+     << " analyses=" << unique_analyses << " threads=" << threads_used
+     << " wall=" << wall_seconds << "s";
   return os.str();
 }
 
@@ -206,50 +197,32 @@ void VerdictEngine::decide_rows(const std::vector<core::MemoryModel>& models,
 
   // ---- Evaluate the misses, test-major, across ONE pool pass.  A
   // test's prepared state (Analysis, rf enumeration and HbProblem
-  // skeletons) is built by whichever worker touches the test first
-  // (std::call_once) and is immutable afterward, so worker threads
-  // share it without further synchronization and evaluation of other
-  // tests proceeds while it builds — no prepare/evaluate barrier.  The
-  // check completing a test's last model frees its prepared state
-  // (every check of it happens-before the freeing decrement), so peak
-  // memory tracks the checks in flight, not the batch size — on dense
-  // streamed chunks that is the difference between tens of MB and a
-  // working set that never leaves the cache. ----
+  // skeletons) and its backend are set by whichever worker touches the
+  // test first (std::call_once) and are immutable afterward, so worker
+  // threads share them without further synchronization and evaluation
+  // of other tests proceeds while one builds — no prepare/evaluate
+  // barrier.  The check completing a test's last model frees its
+  // prepared state (every check of it happens-before the freeing
+  // decrement), so peak memory tracks the checks in flight, not the
+  // batch size — on dense streamed chunks that is the difference
+  // between tens of MB and a working set that never leaves the cache.
+  // That decrement is a check's only atomic read-modify-write. ----
   const std::size_t checks = eval.size() * num_models;
   std::vector<std::unique_ptr<core::PreparedTest>> prepared(eval.size());
+  std::vector<core::Engine> backends(eval.size());
   std::vector<std::once_flag> prepare_once(eval.size());
   std::vector<std::atomic<std::size_t>> checks_left(eval.size());
   for (auto& left : checks_left) left.store(num_models);
   std::vector<char> bits(checks, 0);
-  std::atomic<std::size_t> explicit_count{0};
-  std::atomic<std::size_t> sat_count{0};
-  std::atomic<std::size_t> formula_evals{0};
-  std::atomic<std::size_t> equivalent_evals{0};
-  std::atomic<std::size_t> skeletons_used{0};
-  std::atomic<std::size_t> skeletons_built{0};
   const auto check = [&](std::size_t c) {
     const std::size_t e = c / num_models;
-    const auto& test = tests[static_cast<std::size_t>(rows[eval[e]])];
     std::call_once(prepare_once[e], [&] {
+      const auto& test = tests[static_cast<std::size_t>(rows[eval[e]])];
       prepared[e] =
           std::make_unique<core::PreparedTest>(test.program(), test.outcome());
-      skeletons_built.fetch_add(prepared[e]->skeletons().size(),
-                                std::memory_order_relaxed);
+      backends[e] = resolve_backend(prepared[e]->analysis().num_events());
     });
-    const core::Engine backend =
-        resolve_backend(prepared[e]->analysis().num_events());
-    if (backend == core::Engine::Explicit) {
-      explicit_count.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      sat_count.fetch_add(1, std::memory_order_relaxed);
-    }
-    core::PreparedCheckStats cs;
-    bits[c] =
-        prepared[e]->allowed(models[c % num_models], backend, &cs) ? 1 : 0;
-    formula_evals.fetch_add(cs.formula_evals, std::memory_order_relaxed);
-    equivalent_evals.fetch_add(cs.equivalent_pair_evals,
-                               std::memory_order_relaxed);
-    skeletons_used.fetch_add(cs.skeletons_used, std::memory_order_relaxed);
+    bits[c] = prepared[e]->allowed(models[c % num_models], backends[e]) ? 1 : 0;
     // Last check of this test: release its prepared state (acq_rel —
     // every earlier check's use happens-before this free).
     if (checks_left[e].fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -271,24 +244,15 @@ void VerdictEngine::decide_rows(const std::vector<core::MemoryModel>& models,
     }
   }
 
+  // The backend depends on the test's event count only, so an
+  // evaluated test runs every model on one backend.
   const std::size_t evaluated = checks == 0 ? 0 : eval.size();
+  const auto sat_tests = static_cast<std::size_t>(
+      std::count(backends.begin(), backends.end(), core::Engine::Sat));
   stats.checks_run += checks;
   stats.unique_analyses += evaluated;
-  stats.explicit_checks += explicit_count.load();
-  stats.sat_checks += sat_count.load();
-  // Per-test work shared across the batch's checks: each check of a
-  // per-cell core::is_allowed loop would have re-enumerated rf maps and
-  // rebuilt every skeleton it visited.  (Counters were captured at
-  // prepare time — the prepared state itself is already freed test by
-  // test.)
-  stats.rf_enums_saved += checks - evaluated;
-  const std::size_t used = skeletons_used.load();
-  const std::size_t built = skeletons_built.load();
-  stats.skeletons_reused += used > built ? used - built : 0;
-  const std::size_t evals = formula_evals.load();
-  const std::size_t equivalent = equivalent_evals.load();
-  stats.formula_evals += evals;
-  stats.formula_evals_saved += equivalent > evals ? equivalent - evals : 0;
+  stats.sat_checks += sat_tests * num_models;
+  stats.explicit_checks += checks - sat_tests * num_models;
 
   // ---- Write the evaluated rows back so the next batch (or the next
   // process) serves them from the store — one exclusive acquisition
@@ -404,8 +368,7 @@ std::string StreamStats::to_string() const {
      << " novel=" << novel_tests << " duplicates=" << duplicate_tests
      << " (dedup " << static_cast<int>(100.0 * dedup_rate() + 0.5)
      << "%) wall=" << wall_seconds << "s stages[" << stages.to_string()
-     << (overlapped ? " (produce overlapped)" : "")
-     << "] shards=" << dedup_shards << " [" << engine.to_string() << "]";
+     << "] [" << engine.to_string() << "]";
   return os.str();
 }
 
@@ -430,16 +393,10 @@ StreamStats VerdictEngine::run_stream(
                             store_columns(*vstore, models, store_cols);
 
   // ---- Pipeline state.  The dedup set stores 128-bit key hashes in
-  // mutex-striped shards; overlap runs the source in a producer thread
-  // (ChunkPrefetcher) so materialization hides behind evaluation.  All
-  // per-chunk buffers are hoisted and reused across chunks. ----
-  ShardedKeySet seen(stream_options.dedup_shards);
-  total.dedup_shards = seen.num_shards();
-  // Audit mode only: fingerprint -> legacy key string and back, proving
-  // fingerprint equality coincides with legacy key equality over the
-  // stream (see StreamOptions::audit_dedup_keys).
-  std::unordered_map<util::Key128, std::string, util::Key128Hash> audit;
-  std::unordered_map<std::string, util::Key128> audit_reverse;
+  // mutex-striped shards; a producer thread (ChunkPrefetcher) runs the
+  // source so materialization hides behind evaluation.  All per-chunk
+  // buffers are hoisted and reused across chunks. ----
+  ShardedKeySet seen;
 
   // ---- Checkpoint/resume.  Restoring happens before the prefetcher
   // exists, directly on the raw source.  Both restore steps validate
@@ -483,30 +440,23 @@ StreamStats VerdictEngine::run_stream(
   }
 
   // The prefetcher runs on its own thread, not a pool worker, so
-  // overlap engages even for a 1-thread engine (production still hides
-  // behind consumption whenever a spare core exists).
-  const bool overlap = stream_options.overlap_production;
-  total.overlapped = overlap;
-  std::optional<ChunkPrefetcher> prefetcher;
-  // Cursor capture exists only for checkpoint seals; without
-  // persistence the producer thread skips the per-chunk snapshot.
-  if (overlap) prefetcher.emplace(source, 1, persist != nullptr);
-  TestSource& input = overlap ? static_cast<TestSource&>(*prefetcher) : source;
+  // production hides behind consumption even for a 1-thread engine
+  // whenever a spare core exists.  Cursor capture exists only for
+  // checkpoint seals; without persistence the producer thread skips
+  // the per-chunk snapshot.
+  ChunkPrefetcher input(source, 1, persist != nullptr);
 
   std::vector<litmus::LitmusTest> chunk;
   std::vector<litmus::LitmusTest> novel;
   std::vector<util::Key128> key_hashes;
   std::vector<char> dup_of_past;
-  std::vector<std::string> full_keys;  // audit mode only
   std::vector<int> novel_idx;
 
   bool more = true;
   while (more) {
     chunk.clear();
-    util::Timer produce_timer;
     more = input.next_chunk(chunk);
-    const double produce_seconds =
-        overlap ? prefetcher->last_produce_seconds() : produce_timer.seconds();
+    const double produce_seconds = input.last_produce_seconds();
     if (chunk.empty()) {
       total.stages.produce += produce_seconds;
       continue;
@@ -524,8 +474,6 @@ StreamStats VerdictEngine::run_stream(
     // litmus::canonical_fingerprint hashes the canonicalized event walk
     // directly — no Analysis, no key string, no per-test allocation —
     // and the 128-bit digest is claimed in the sharded set as it goes.
-    // Only audit mode still builds an Analysis and the legacy string
-    // key per test.
     //
     // Resolve phase (serial, chunk order): a test is novel iff its key
     // is new to the stream and it holds the chunk's minimum index for
@@ -536,24 +484,11 @@ StreamStats VerdictEngine::run_stream(
     util::Timer key_timer;
     key_hashes.resize(n);
     dup_of_past.assign(n, 0);
-    if (stream_options.audit_dedup_keys) full_keys.assign(n, {});
     seen.begin_chunk();
     for_ranges(n, [&](std::size_t begin, std::size_t end) {
       litmus::KeyScratch scratch;
       for (std::size_t i = begin; i < end; ++i) {
         key_hashes[i] = class_key(chunk[i], structural_filter, scratch);
-        if (stream_options.audit_dedup_keys) {
-          // The legacy string key for the cross-check; the canonical
-          // flavor needs the Analysis the fingerprint skipped.
-          if (structural_filter) {
-            litmus::structural_key(chunk[i], scratch.best);
-            full_keys[i] = scratch.best;
-          } else {
-            const core::Analysis analysis(chunk[i].program());
-            full_keys[i] =
-                litmus::canonical_key(analysis, chunk[i].outcome(), scratch);
-          }
-        }
         dup_of_past[i] =
             seen.claim(key_hashes[i], static_cast<std::uint32_t>(i)) ? 1 : 0;
       }
@@ -565,23 +500,6 @@ StreamStats VerdictEngine::run_stream(
       const bool duplicate =
           dup_of_past[i] != 0 ||
           seen.owner(key_hashes[i]) != static_cast<std::uint32_t>(i);
-      if (stream_options.audit_dedup_keys) {
-        // Both directions: a fingerprint maps to exactly one legacy
-        // key (no collision merges distinct classes) and a legacy key
-        // maps to exactly one fingerprint (no class is split).
-        const auto it = audit.find(key_hashes[i]);
-        if (it == audit.end()) {
-          MCMC_CHECK_MSG(
-              audit_reverse.emplace(full_keys[i], key_hashes[i]).second,
-              "canonical fingerprint split a key class: equal legacy "
-              "keys produced distinct fingerprints");
-          audit.emplace(key_hashes[i], std::move(full_keys[i]));
-        } else {
-          MCMC_CHECK_MSG(it->second == full_keys[i],
-                         "128-bit fingerprint collision: two distinct "
-                         "canonical keys share a fingerprint");
-        }
-      }
       if (duplicate) {
         ++cs.duplicates;
       } else {

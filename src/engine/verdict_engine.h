@@ -8,11 +8,12 @@
 // of one test class under every model, with the engine handling
 //
 //   * one class-key rule: litmus::canonical_fingerprint (128-bit,
-//     allocation-free; litmus::canonical_key is its audited string
-//     form), so symmetric tests (thread-permuted, location-renamed)
-//     share one row — or structural fingerprints for the whole batch
-//     when any model has custom predicates, whose semantics may observe
-//     raw thread/location identity,
+//     allocation-free), so symmetric tests (thread-permuted,
+//     location-renamed) share one row — or structural fingerprints for
+//     the whole batch when any model has custom predicates, whose
+//     semantics may observe raw thread/location identity.  The
+//     fingerprints are audited against the legacy litmus::canonical_key
+//     strings by the tests (tests/key_audit.h), not by the engine,
 //   * cross-batch reuse through a store::VerdictStore holding one row
 //     per canonical class: probed once per class with probe_row and
 //     written back under one exclusive lock (see set_store; a file-less
@@ -24,12 +25,12 @@
 //     rows per cell instead of re-walked per event pair per rf map; the
 //     state is freed after the class's last check, and dedup- and
 //     store-served tests never pay for one,
-//   * backend selection per cell: the explicit-closure engine, the SAT
+//   * backend selection per test: the explicit-closure engine, the SAT
 //     engine, or adaptive (explicit for small instances, SAT beyond the
 //     explicit engine's 64-event bitmask limit),
 //   * a work-stealing std::thread pool parallelizing across cells, and
 //   * per-batch statistics (checks run, dedup and store hits, backend
-//     split, formula evaluations saved, wall time).
+//     split, wall time).
 //
 // explore::AdmissibilityMatrix, model fingerprinting, the suite filter,
 // litmusd, the examples, and the bench sweeps all route through this
@@ -96,21 +97,6 @@ struct EngineStats {
                                    ///  (tests reaching evaluation only:
                                    ///  dedup/store hits build none)
 
-  // Prepared-path accounting.
-  std::size_t rf_enums_saved = 0;  ///< enumerate_read_from calls avoided
-                                   ///  vs one-per-check (checks minus
-                                   ///  distinct tests evaluated)
-  std::size_t skeletons_reused = 0;///< skeleton consultations beyond each
-                                   ///  prepared test's first build
-  std::size_t formula_evals = 0;   ///< formula evaluations run: compiled
-                                   ///  matrix traversals + per-pair
-                                   ///  fallbacks (custom predicates,
-                                   ///  >64-event analyses)
-  std::size_t formula_evals_saved = 0; ///< per-pair F evaluations a
-                                   ///  per-cell core::is_allowed loop
-                                   ///  would have run, minus the
-                                   ///  evaluations above
-
   int threads_used = 1;
   double wall_seconds = 0.0;
 
@@ -121,25 +107,6 @@ struct EngineStats {
 
 /// Options for a streaming run (see VerdictEngine::run_stream).
 struct StreamOptions {
-  /// Overlap chunk production with consumption: a producer thread
-  /// (engine::ChunkPrefetcher, dedicated — not a pool worker, so this
-  /// engages even for a 1-thread engine) materializes the next chunks
-  /// while the pool processes the current one.  Never changes results
-  /// (chunk order and boundaries are preserved).
-  bool overlap_production = true;
-  /// Mutex stripes of the cross-chunk dedup set (rounded up to a power
-  /// of two); 0 means the default (ShardedKeySet::kDefaultShards).
-  int dedup_shards = 0;
-  /// Fingerprint audit: additionally compute every test's legacy string
-  /// key (building the Analysis the fingerprint path skips) and verify,
-  /// both directions, that fingerprint equality coincides with string
-  /// key equality — a fingerprint collision between distinct keys or
-  /// two fingerprints for one key throws mid-stream.  This re-adds the
-  /// per-test Analysis plus O(classes x key length) memory the
-  /// fingerprint path removed, so it is for tests (the slow full-space
-  /// run proves the whole 5.16M-test matrix is collision-free), not
-  /// production streams.
-  bool audit_dedup_keys = false;
   /// Force structural dedup keys even when every streamed model is
   /// custom-free.  Callers that reuse the delivered verdicts beyond the
   /// streamed models (e.g. the extremes-prefiltered Theorem harness,
@@ -163,7 +130,7 @@ struct StreamOptions {
 };
 
 /// Per-stage wall time of the streaming pipeline.  `produce` is time
-/// spent inside the source's next_chunk — with overlap_production it
+/// spent inside the source's next_chunk on the prefetcher thread — it
 /// runs concurrently with the other stages, so it is overlap, not
 /// critical path.  `keys` is the parallel fingerprint/claim phase,
 /// `dedup` the serial chunk-order ownership resolution, `verdict` the
@@ -195,8 +162,6 @@ struct StreamStats {
   std::size_t novel_tests = 0;
   std::size_t duplicate_tests = 0;  ///< cross-chunk dedup hits
   StreamStageTimes stages;          ///< accumulated per-stage breakdown
-  int dedup_shards = 0;             ///< stripes of the cross-chunk set
-  bool overlapped = false;          ///< producer thread was engaged
   EngineStats engine;               ///< accumulated over chunk batches
   double wall_seconds = 0.0;
 
@@ -246,14 +211,14 @@ class VerdictEngine {
   /// skipped, so each chunk's novel tests are unique classes and each
   /// is decided once.  The dedup set stores the 128-bit
   /// fingerprints directly (16 bytes per class, no Analysis and no key
-  /// string ever materialized; auditable via audit_dedup_keys), so the
-  /// peak resident set stays O(chunk size + unique classes) no matter
-  /// how long the stream runs.
+  /// string ever materialized), so the peak resident set stays
+  /// O(chunk size + unique classes) no matter how long the stream runs.
   ///
-  /// The run is a parallel pipeline: chunk production overlaps with
-  /// consumption (overlap_production), fingerprinting fans out across
-  /// the work-stealing pool with per-worker scratch tables, and claims
-  /// go to a mutex-striped shard set.  Streamed results are bit-for-bit
+  /// The run is a parallel pipeline: a ChunkPrefetcher thread
+  /// produces the next chunk while the current one is consumed,
+  /// fingerprinting fans out across the work-stealing pool with
+  /// per-worker scratch tables, and claims go to a mutex-striped
+  /// ShardedKeySet.  Streamed results are bit-for-bit
   /// deterministic under any thread count: chunk boundaries come from
   /// the single producer, within-chunk duplicate resolution picks the
   /// minimum index regardless of claim order, and novel tests, verdict

@@ -266,7 +266,7 @@ DistinguishMatrix distinguishability_streamed(
   }
 
   if (!options.filter_extremes) {
-    engine::StreamOptions stream_options = options.stream;
+    engine::StreamOptions stream_options;
     stream_options.verdict_store = options.verdict_store;
     if (persisted) stream_options.persistence = &persist;
     rep.stream = eng.run_stream(
@@ -293,7 +293,7 @@ DistinguishMatrix distinguishability_streamed(
   // are swept with the caller's models: if any of those carries custom
   // predicates, canonical dedup of the stream would be unsound for the
   // sweep, so force structural keys.
-  engine::StreamOptions stream_options = options.stream;
+  engine::StreamOptions stream_options;
   for (const auto& model : models) {
     stream_options.force_structural_keys =
         stream_options.force_structural_keys || model.formula().has_custom();

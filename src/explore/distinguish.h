@@ -112,9 +112,6 @@ struct TheoremHarnessOptions {
   /// every F, custom predicates included.  Disable for a direct full
   /// sweep (the differential tests do).
   bool filter_extremes = true;
-  /// Stream behavior; dedup on / persist off are the right defaults for
-  /// bounded-memory corpus runs.
-  engine::StreamOptions stream;
   /// Persistent verdict store shared by the prefilter stream and the
   /// candidate sweep (caller-owned, may be null).  Open it with
   /// harness_store_meta(models) so both phases find their columns.

@@ -5,15 +5,13 @@
 // cross-section of the model zoo.
 #include <gtest/gtest.h>
 
-#include <set>
-#include <string>
-
 #include "core/analysis.h"
 #include "core/checker.h"
 #include "engine/test_stream.h"
 #include "engine/verdict_engine.h"
 #include "enumeration/naive.h"
 #include "explore/space.h"
+#include "key_audit.h"
 #include "models/zoo.h"
 #include "store/verdict_store.h"
 
@@ -137,58 +135,53 @@ TEST(EnumerationFuzz, CacheAndDedupDoNotChangeVerdicts) {
 }
 
 TEST(EnumerationFuzz, StreamFingerprintDedupMatchesLegacyKeyClasses) {
-  // The streamed dedup filter now runs on 128-bit canonical
-  // fingerprints with no Analysis and no key string; on a
-  // duplicate-rich sample its novel count must equal the number of
-  // distinct legacy canonical_key strings, and the built-in audit
-  // (which recomputes the strings and cross-checks both directions)
-  // must pass throughout.
+  // The streamed dedup filter runs on 128-bit canonical fingerprints
+  // with no Analysis and no key string; on a duplicate-rich sample the
+  // key audit (which recomputes the legacy canonical_key strings and
+  // cross-checks both directions) must find no violation, and the
+  // stream's novel count must equal the number of distinct strings.
   enumeration::NaiveOptions bounds;
   bounds.num_locations = 2;
   bounds.max_accesses_per_thread = 2;
   auto tests = enumeration::sample_naive_tests(bounds, 400, 0xBEEF);
 
-  std::set<std::string> legacy_classes;
-  for (const auto& test : tests) {
-    legacy_classes.insert(litmus::canonical_key(test));
-  }
+  key_audit::KeyAudit audit;
+  audit.add(tests);
+  EXPECT_EQ(audit.collisions(), 0u);
+  EXPECT_EQ(audit.splits(), 0u);
 
   const std::vector<core::MemoryModel> models = {models::sc(), models::tso()};
   engine::VectorSource source(std::move(tests), 64);
   engine::VerdictEngine eng;
-  engine::StreamOptions stream_options;
-  stream_options.audit_dedup_keys = true;
-  const auto stats = eng.run_stream(models, source, nullptr, stream_options);
+  const auto stats = eng.run_stream(models, source, nullptr);
 
-  EXPECT_EQ(stats.novel_tests, legacy_classes.size());
+  EXPECT_EQ(stats.novel_tests, audit.classes());
   EXPECT_GT(stats.duplicate_tests, 0u);
 }
 
 TEST(EnumerationFuzz, StreamFingerprintDedupMatchesLegacyKeyClassesWithDeps) {
   // The fingerprint/string-key audit over a dependency-carrying sample:
   // KeyFacts' dep bitmasks, DepConst constants, and indirect-address
-  // resolution all feed canonical_fingerprint, so the novel count must
-  // still equal the number of distinct legacy canonical_key strings,
-  // with the two-direction audit on throughout.
+  // resolution all feed canonical_fingerprint, so the two-direction
+  // audit must stay clean and the novel count must still equal the
+  // number of distinct legacy canonical_key strings.
   enumeration::NaiveOptions bounds;
   bounds.num_locations = 2;
   bounds.max_accesses_per_thread = 2;
   bounds.deps = true;
   auto tests = enumeration::sample_naive_tests(bounds, 400, 0xDE9C0DE);
 
-  std::set<std::string> legacy_classes;
-  for (const auto& test : tests) {
-    legacy_classes.insert(litmus::canonical_key(test));
-  }
+  key_audit::KeyAudit audit;
+  audit.add(tests);
+  EXPECT_EQ(audit.collisions(), 0u);
+  EXPECT_EQ(audit.splits(), 0u);
 
   const std::vector<core::MemoryModel> models = {models::sc(), models::tso()};
   engine::VectorSource source(std::move(tests), 64);
   engine::VerdictEngine eng;
-  engine::StreamOptions stream_options;
-  stream_options.audit_dedup_keys = true;
-  const auto stats = eng.run_stream(models, source, nullptr, stream_options);
+  const auto stats = eng.run_stream(models, source, nullptr);
 
-  EXPECT_EQ(stats.novel_tests, legacy_classes.size());
+  EXPECT_EQ(stats.novel_tests, audit.classes());
   EXPECT_GT(stats.duplicate_tests, 0u);
 }
 

@@ -25,6 +25,7 @@
 #include "enumeration/suite.h"
 #include "explore/distinguish.h"
 #include "explore/space.h"
+#include "key_audit.h"
 
 namespace mcmc {
 namespace {
@@ -43,15 +44,16 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
   enumeration::ExhaustiveOptions options;  // the full default bounds
   options.chunk_size = 8192;
   enumeration::ExhaustiveStream stream(options);
+  // Audit the fingerprint dedup over the whole 5.16M-test space: every
+  // streamed test's canonical_key string is recomputed and checked
+  // against its 128-bit fingerprint in both directions, so the
+  // equivalence below also proves the fingerprint dedup changes
+  // nothing.
+  key_audit::KeyAudit audit;
+  key_audit::AuditedSource audited(stream, audit);
   explore::TheoremHarnessReport report;
-  explore::TheoremHarnessOptions harness;
-  // Collision-audit the hash-based dedup over the whole 5.16M-test
-  // space: every class's full canonical key is retained and checked
-  // against its 128-bit hash, so the equivalence below also proves the
-  // hash dedup changes nothing (a collision throws mid-stream).
-  harness.stream.audit_dedup_keys = true;
   const auto by_naive = explore::distinguishability_streamed(
-      eng, models, stream, harness, &report);
+      eng, models, audited, explore::TheoremHarnessOptions{}, &report);
 
   // ---- The headline equivalence, bit for bit. ----
   EXPECT_TRUE(by_naive == by_suite_nodep)
@@ -73,6 +75,13 @@ TEST(ExhaustiveFull, NaiveSpaceDistinguishabilityEqualsCorollary1Suite) {
             report.stream.novel_tests);
   EXPECT_EQ(report.candidate_tests, 40817u);  // survive the extremes filter
   EXPECT_GT(report.stream.dedup_rate(), 0.9);
+
+  // ---- The audit saw every test, and fingerprint classes are exactly
+  // the canonical_key classes. ----
+  EXPECT_EQ(audit.tests(), report.stream.tests_streamed);
+  EXPECT_EQ(audit.collisions(), 0u);
+  EXPECT_EQ(audit.splits(), 0u);
+  EXPECT_EQ(report.stream.novel_tests, audit.classes());
 }
 
 TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
@@ -89,14 +98,14 @@ TEST(ExhaustiveFull, DepSpaceDistinguishabilityEqualsWithDepSuite) {
   options.chunk_size = 8192;
   enumeration::ExhaustiveStream stream(options);
   explore::TheoremHarnessReport report;
-  explore::TheoremHarnessOptions harness;
-  // No collision audit here: the fingerprint/string-key cross-check
-  // already runs nightly over the full no-dep space (above) and over
-  // the dep-carrying 2-access slice in tier-1, and on this 25.4M-test
-  // space retaining every class's key string costs ~800 MB of RSS and
-  // ~5x keys-stage time for no additional dep-specific coverage.
+  // No key audit here: the fingerprint/string-key cross-check already
+  // runs nightly over the full no-dep space (above) and over the
+  // dep-carrying 2-access slice in tier-1, and on this 25.4M-test space
+  // retaining every class's key string costs ~800 MB of RSS and several
+  // times the stream's wall time for no additional dep-specific
+  // coverage.
   const auto by_naive = explore::distinguishability_streamed(
-      eng, models, stream, harness, &report);
+      eng, models, stream, explore::TheoremHarnessOptions{}, &report);
 
   // ---- The headline with-dep equivalence, bit for bit. ----
   EXPECT_TRUE(by_naive == by_suite_dep)

@@ -1,6 +1,7 @@
 // The parallel streaming pipeline: determinism under any thread count,
-// hash-based sharded dedup (with collision audit), producer-overlap
-// chunk hand-off, and exception propagation from pool tasks through
+// hash-based sharded dedup, the key audit of whole slices (fingerprint
+// classes are canonical_key classes), producer-prefetch chunk
+// hand-off, and exception propagation from pool tasks through
 // run_matrix / run_stream.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "enumeration/suite.h"
 #include "explore/distinguish.h"
 #include "explore/space.h"
+#include "key_audit.h"
 #include "models/zoo.h"
 #include "util/hash128.h"
 
@@ -111,9 +113,10 @@ TEST(ShardedKeySet, SealedKeysReportDuplicateOfPast) {
 
 TEST(ShardedKeySet, ParallelClaimsResolveDeterministically) {
   // Claims race from several threads; the resolved owner must be the
-  // minimum claiming index, run after run.
+  // minimum claiming index, run after run — on one stripe (every claim
+  // contends on one mutex) as on many.
   for (int round = 0; round < 20; ++round) {
-    engine::ShardedKeySet set(16);
+    engine::ShardedKeySet set(round % 2 == 0 ? 1 : 16);
     set.begin_chunk();
     const util::Key128 shared = util::hash128(std::string("shared"));
     std::vector<std::thread> threads;
@@ -311,21 +314,19 @@ struct StreamCapture {
   std::vector<std::size_t> chunk_duplicates;
 };
 
-StreamCapture run_slice_stream(int threads, bool overlap, bool audit,
-                               int shards) {
+enumeration::ExhaustiveOptions two_access_slice() {
   enumeration::ExhaustiveOptions options;
   options.bounds.max_accesses_per_thread = 2;
   options.chunk_size = 512;
-  enumeration::ExhaustiveStream stream(options);
+  return options;
+}
+
+StreamCapture run_slice_stream(int threads) {
+  enumeration::ExhaustiveStream stream(two_access_slice());
 
   engine::EngineOptions engine_options;
   engine_options.num_threads = threads;
   engine::VerdictEngine eng(engine_options);
-
-  engine::StreamOptions stream_options;
-  stream_options.overlap_production = overlap;
-  stream_options.audit_dedup_keys = audit;
-  stream_options.dedup_shards = shards;
 
   const std::vector<core::MemoryModel> models = {
       explore::ModelChoices{4, 4, 4, 4}.to_model(),
@@ -347,24 +348,35 @@ StreamCapture run_slice_stream(int threads, bool overlap, bool audit,
         capture.chunk_streamed.push_back(cs.streamed);
         capture.chunk_novel.push_back(cs.novel);
         capture.chunk_duplicates.push_back(cs.duplicates);
-      },
-      stream_options);
+      });
   return capture;
 }
 
 TEST(StreamDeterminism, TwoAccessSliceBitForBitAcrossThreadCounts) {
-  // The serial reference: 1 thread, no producer overlap, audit on (the
-  // collision audit must hold on the whole slice).
-  const StreamCapture serial =
-      run_slice_stream(1, /*overlap=*/false, /*audit=*/true, /*shards=*/0);
+  // The serial reference: 1 engine thread (the prefetcher still runs
+  // the source on its own thread).
+  const StreamCapture serial = run_slice_stream(1);
   ASSERT_FALSE(serial.novel_names.empty());
 
-  // Parallel runs with different thread counts, shard counts, overlap
-  // on: every delivered name, verdict bit, and chunk stat identical.
+  // The prefetcher hands over the source's own chunks: the same
+  // boundaries as draining the stream directly.
+  enumeration::ExhaustiveStream direct(two_access_slice());
+  std::vector<std::size_t> direct_chunks;
+  {
+    std::vector<litmus::LitmusTest> chunk;
+    bool more = true;
+    while (more) {
+      chunk.clear();
+      more = direct.next_chunk(chunk);
+      if (!chunk.empty()) direct_chunks.push_back(chunk.size());
+    }
+  }
+  EXPECT_EQ(serial.chunk_streamed, direct_chunks);
+
+  // Parallel runs: every delivered name, verdict bit, and chunk stat
+  // identical.
   for (const int threads : {2, 4}) {
-    const StreamCapture parallel =
-        run_slice_stream(threads, /*overlap=*/true, /*audit=*/true,
-                         threads == 2 ? 8 : 0);
+    const StreamCapture parallel = run_slice_stream(threads);
     EXPECT_EQ(parallel.novel_names, serial.novel_names) << threads;
     EXPECT_EQ(parallel.verdict_bits, serial.verdict_bits) << threads;
     EXPECT_EQ(parallel.chunk_streamed, serial.chunk_streamed) << threads;
@@ -403,6 +415,42 @@ TEST(StreamDeterminism, HarnessMatrixIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(serial_matrix == parallel_matrix);
   EXPECT_EQ(serial_novel, parallel_novel);
   EXPECT_GT(serial_matrix.distinguished_pairs(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Key audit: on whole slices, fingerprint classes are canonical_key
+// classes and the stream decides each exactly once
+// ---------------------------------------------------------------------------
+
+void expect_clean_slice_audit(bool deps, std::size_t tests,
+                              std::size_t classes) {
+  for (const int threads : {1, 4}) {
+    enumeration::ExhaustiveOptions options = two_access_slice();
+    options.bounds.deps = deps;
+    enumeration::ExhaustiveStream stream(options);
+    key_audit::KeyAudit audit;
+    key_audit::AuditedSource audited(stream, audit);
+
+    engine::EngineOptions engine_options;
+    engine_options.num_threads = threads;
+    engine::VerdictEngine eng(engine_options);
+    const auto stats = eng.run_stream({models::sc()}, audited, nullptr);
+
+    EXPECT_EQ(audit.tests(), tests) << "threads=" << threads;
+    EXPECT_EQ(audit.classes(), classes) << "threads=" << threads;
+    EXPECT_EQ(audit.collisions(), 0u) << "threads=" << threads;
+    EXPECT_EQ(audit.splits(), 0u) << "threads=" << threads;
+    EXPECT_EQ(stats.tests_streamed, tests) << "threads=" << threads;
+    EXPECT_EQ(stats.novel_tests, audit.classes()) << "threads=" << threads;
+  }
+}
+
+TEST(KeyAudit, NoDepTwoAccessSliceFingerprintsMatchKeyClasses) {
+  expect_clean_slice_audit(/*deps=*/false, 13086, 1253);
+}
+
+TEST(KeyAudit, DepTwoAccessSliceFingerprintsMatchKeyClasses) {
+  expect_clean_slice_audit(/*deps=*/true, 28470, 2701);
 }
 
 }  // namespace
