@@ -10,7 +10,11 @@
 //
 // Also reports the symmetry reduction measured by the canonical-key
 // machinery (thread exchange x location renaming x value renaming):
-// streamed tests vs canonical classes actually evaluated.
+// streamed tests vs canonical classes actually evaluated, and programs
+// vs canonical program classes.  The program classes are a function of
+// the bounds alone (enumeration::count_program_classes), counted by a
+// separate walk outside the stream's timer, so a resumed run reports
+// them in full.
 //
 // Flags:
 //   --max-accesses N    accesses per thread (default 3 = the full space)
@@ -69,7 +73,6 @@ int main(int argc, char** argv) {
 
   enumeration::ExhaustiveOptions opts;
   opts.chunk_size = 4096;
-  opts.track_program_classes = true;
   engine::EngineOptions engine_options;
   explore::TheoremHarnessOptions harness;
   long progress_every = 64;
@@ -193,28 +196,12 @@ int main(int argc, char** argv) {
   // ---- The streamed naive-space matrix. ----
   enumeration::ExhaustiveStream stream(opts);
   explore::TheoremHarnessReport report;
-  // Program-class accounting runs behind the FIFO: the producer thread
-  // only queues program copies, and this consumer-side tally hashes
-  // them per chunk.  The tally rides the harness checkpoint through
-  // the extra-sink hooks, so a killed-and-resumed run still reports
-  // the full class count (absorb is idempotent across the replayed
-  // boundary chunk).
-  enumeration::ProgramClassTally program_tally;
-  std::vector<core::Program> drained_programs;
-  harness.save_extra_sink = [&](std::vector<std::uint64_t>& out) {
-    program_tally.export_state(out);
-  };
-  harness.restore_extra_sink = [&](const std::vector<std::uint64_t>& data) {
-    return program_tally.restore_state(data);
-  };
   util::Timer timer;
   explore::DistinguishMatrix by_naive;
   try {
     by_naive = explore::distinguishability_streamed(
         eng, models, stream, harness, &report,
         [&](const engine::StreamChunkStats& cs) {
-          stream.take_new_programs(drained_programs);
-          program_tally.absorb(drained_programs);
           if ((cs.index + 1) % static_cast<std::size_t>(progress_every) != 0) {
             return;
           }
@@ -234,10 +221,6 @@ int main(int argc, char** argv) {
     return 3;
   }
   const double wall = timer.seconds();
-  // The last chunk's programs may still be queued (the progress
-  // callback has already fired for it by the time production ends).
-  stream.take_new_programs(drained_programs);
-  program_tally.absorb(drained_programs);
 
   std::printf("\nstream: %s\n", report.stream.to_string().c_str());
   std::printf("pipeline stages: %s (produce overlapped with consume)\n",
@@ -270,10 +253,14 @@ int main(int argc, char** argv) {
   if (rss >= 0) std::printf("peak RSS: %.1f MB\n", rss);
 
   // ---- Symmetry reduction measured by the canonical-key machinery. ----
+  util::Timer program_timer;
+  const long long program_classes = enumeration::count_program_classes(opts);
+  const double program_seconds = program_timer.seconds();
   const long long canonical_tests =
       static_cast<long long>(report.stream.novel_tests);
   std::printf("\nsymmetry reduction (canonical keys): %lld tests -> %lld "
-              "classes (%.1fx); %lld programs -> %lld classes (%.1fx)\n",
+              "classes (%.1fx); %lld programs -> %lld classes (%.1fx, "
+              "counted in %.2fs)\n",
               report.stream.tests_streamed > 0
                   ? static_cast<long long>(report.stream.tests_streamed)
                   : 0LL,
@@ -282,11 +269,12 @@ int main(int argc, char** argv) {
                   ? static_cast<double>(report.stream.tests_streamed) /
                         static_cast<double>(canonical_tests)
                   : 0.0,
-              stream.emitted().programs, program_tally.count(),
-              program_tally.count() > 0
+              stream.emitted().programs, program_classes,
+              program_classes > 0
                   ? static_cast<double>(stream.emitted().programs) /
-                        static_cast<double>(program_tally.count())
-                  : 0.0);
+                        static_cast<double>(program_classes)
+                  : 0.0,
+              program_seconds);
 
   // ---- The Theorem-1 comparison. ----
   util::Table table({"corpus", "tests", "distinguished pairs (of 4005)"});
@@ -349,7 +337,6 @@ int main(int argc, char** argv) {
   if (opts.bounds.deps && !json_path.empty()) {
     enumeration::ExhaustiveOptions base_opts = opts;
     base_opts.bounds.deps = false;
-    base_opts.track_program_classes = false;
     enumeration::ExhaustiveStream base_stream(base_opts);
     engine::VerdictEngine base_eng(engine_options);
     const std::vector<core::MemoryModel> probes = {models[0], models[1]};
@@ -375,14 +362,8 @@ int main(int argc, char** argv) {
     // deriving them.
     serial_harness.verdict_store = nullptr;
     serial_harness.persistence = nullptr;
-    serial_harness.save_extra_sink = nullptr;
-    serial_harness.restore_extra_sink = nullptr;
     engine::VerdictEngine serial_eng(serial_options);
-    // The guard compares matrices and stream accounting; program-class
-    // accounting is not re-run, so don't queue (and leak) copies.
-    enumeration::ExhaustiveOptions serial_opts = opts;
-    serial_opts.track_program_classes = false;
-    enumeration::ExhaustiveStream serial_stream(serial_opts);
+    enumeration::ExhaustiveStream serial_stream(opts);
     util::Timer serial_timer;
     explore::TheoremHarnessReport serial_report;
     const auto by_serial = explore::distinguishability_streamed(
@@ -433,7 +414,7 @@ int main(int argc, char** argv) {
     std::fprintf(js, "  \"chunk_size\": %d,\n", opts.chunk_size);
     std::fprintf(js, "  \"threads\": %d,\n", eng.effective_threads());
     std::fprintf(js, "  \"programs\": %lld,\n", stream.emitted().programs);
-    std::fprintf(js, "  \"program_classes\": %lld,\n", program_tally.count());
+    std::fprintf(js, "  \"program_classes\": %lld,\n", program_classes);
     std::fprintf(js, "  \"tests_streamed\": %zu,\n", s.tests_streamed);
     std::fprintf(js, "  \"novel_tests\": %zu,\n", s.novel_tests);
     std::fprintf(js, "  \"duplicate_tests\": %zu,\n", s.duplicate_tests);

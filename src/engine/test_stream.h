@@ -10,8 +10,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -71,29 +71,26 @@ void for_each_test(TestSource& source, Fn&& fn) {
 }
 
 /// Overlaps chunk production with consumption: a dedicated producer
-/// thread pulls chunks from the wrapped source into a bounded queue
-/// while the consumer processes earlier ones — the produce stage of
-/// the streaming pipeline runs concurrently with the key/dedup/verdict
-/// stages.  Chunk boundaries and order are exactly the wrapped
-/// source's (one producer, FIFO hand-off), so prefetching never
-/// changes streamed results.  A producer-side exception is rethrown
-/// from next_chunk after the chunks produced before it have been
-/// delivered.
+/// thread materializes the next chunk of the wrapped source while the
+/// consumer processes the current one — the produce stage of the
+/// streaming pipeline runs concurrently with the key/dedup/verdict
+/// stages.  One chunk of lookahead already hides production fully when
+/// produce is cheaper than consume, and every chunk held ahead is
+/// resident memory, so the hand-off slot holds at most one.  Chunk
+/// boundaries and order are exactly the wrapped source's (one
+/// producer, FIFO hand-off), so prefetching never changes streamed
+/// results.  A producer-side exception is rethrown from next_chunk
+/// after the chunks produced before it have been delivered.
 class ChunkPrefetcher final : public TestSource {
  public:
-  /// `depth` bounds the queue (chunks materialized ahead of the
-  /// consumer); values below 1 are clamped to 1.  One chunk of
-  /// lookahead already hides production fully when produce is cheaper
-  /// than consume, and every queued chunk is resident memory, so the
-  /// default stays minimal.  `capture_cursors` snapshots the wrapped
-  /// source's position after every chunk so snapshot_cursor works;
-  /// callers that never checkpoint (no persistence attached) pass
-  /// false and skip that per-chunk producer-thread work entirely.
-  explicit ChunkPrefetcher(TestSource& source, std::size_t depth = 1,
-                           bool capture_cursors = true)
-      : source_(source),
-        depth_(depth < 1 ? 1 : depth),
-        capture_cursors_(capture_cursors) {
+  /// `capture_cursors` snapshots the wrapped source's position after
+  /// every chunk so snapshot_cursor works; callers that never
+  /// checkpoint (no persistence attached) pass false and skip that
+  /// per-chunk producer-thread work entirely.  Restore the wrapped
+  /// source's cursor before constructing the prefetcher: its producer
+  /// thread starts pulling immediately.
+  explicit ChunkPrefetcher(TestSource& source, bool capture_cursors = true)
+      : source_(source), capture_cursors_(capture_cursors) {
     producer_ = std::thread([this] { produce(); });
   }
 
@@ -113,13 +110,13 @@ class ChunkPrefetcher final : public TestSource {
     Item item;
     {
       util::MutexLock lock(mu_);
-      while (queue_.empty() && !done_) chunk_ready_.wait(mu_);
-      if (queue_.empty()) {
+      while (!ready_ && !done_) chunk_ready_.wait(mu_);
+      if (!ready_) {
         if (error_) std::rethrow_exception(error_);
         return false;
       }
-      item = std::move(queue_.front());
-      queue_.pop_front();
+      item = std::move(*ready_);
+      ready_.reset();
     }
     slot_free_.notify_one();
     if (out.empty()) {
@@ -141,14 +138,6 @@ class ChunkPrefetcher final : public TestSource {
     if (!last_cursor_valid_) return false;
     out = last_cursor_;
     return true;
-  }
-
-  /// Restore through the wrapped source before constructing the
-  /// prefetcher (its producer thread starts pulling immediately).
-  [[nodiscard]] bool restore_cursor(
-      const std::vector<std::uint64_t>& cursor) override {
-    (void)cursor;
-    return false;
   }
 
   /// Time the producer spent inside the wrapped source's next_chunk for
@@ -187,9 +176,9 @@ class ChunkPrefetcher final : public TestSource {
       const bool more = item.more;
       {
         util::MutexLock lock(mu_);
-        while (queue_.size() >= depth_ && !stop_) slot_free_.wait(mu_);
+        while (ready_ && !stop_) slot_free_.wait(mu_);
         if (stop_) return;
-        queue_.push_back(std::move(item));
+        ready_ = std::move(item);
         if (!more) done_ = true;
       }
       chunk_ready_.notify_one();
@@ -198,14 +187,13 @@ class ChunkPrefetcher final : public TestSource {
   }
 
   TestSource& source_;
-  std::size_t depth_;
   bool capture_cursors_;
   std::thread producer_;
 
   util::Mutex mu_;
   util::CondVar chunk_ready_;  // consumer waits for a chunk
-  util::CondVar slot_free_;    // producer waits for queue room
-  std::deque<Item> queue_ GUARDED_BY(mu_);
+  util::CondVar slot_free_;    // producer waits for the slot to empty
+  std::optional<Item> ready_ GUARDED_BY(mu_);  // the one chunk ahead
   bool done_ GUARDED_BY(mu_) = false;  // source exhausted (or errored)
   bool stop_ GUARDED_BY(mu_) = false;  // destructor: abandon production
   std::exception_ptr error_ GUARDED_BY(mu_);

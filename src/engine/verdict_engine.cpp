@@ -444,7 +444,7 @@ StreamStats VerdictEngine::run_stream(
   // whenever a spare core exists.  Cursor capture exists only for
   // checkpoint seals; without persistence the producer thread skips
   // the per-chunk snapshot.
-  ChunkPrefetcher input(source, 1, persist != nullptr);
+  ChunkPrefetcher input(source, persist != nullptr);
 
   std::vector<litmus::LitmusTest> chunk;
   std::vector<litmus::LitmusTest> novel;

@@ -1,12 +1,13 @@
 #include "enumeration/exhaustive.h"
 
-#include <algorithm>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <utility>
 
 #include "util/bytes.h"
 #include "util/check.h"
+#include "util/hash128.h"
 
 namespace mcmc::enumeration {
 
@@ -29,6 +30,22 @@ std::uint64_t options_digest(const ExhaustiveOptions& o,
                               (o.communicating_only ? 4ULL : 0ULL));
   util::append_u64(bytes, num_shapes);
   return util::hash128(bytes).lo;
+}
+
+/// Materializes the program of shape pair (a, b) with fresh registers
+/// and per-location write values; `values` receives, per location, how
+/// many writes it got (a read of it draws from 1 + that many values).
+/// Deterministic in the pair alone, so the stream, a restored cursor
+/// and count_program_classes all build the identical program.
+core::Program build_pair_program(const shapes::ThreadShape& a,
+                                 const shapes::ThreadShape& b,
+                                 std::map<int, int>& values) {
+  values.clear();
+  core::Reg next_reg = 0;
+  std::vector<core::Thread> threads;
+  threads.push_back(shapes::materialize(a, values, next_reg));
+  threads.push_back(shapes::materialize(b, values, next_reg));
+  return core::Program(std::move(threads));
 }
 
 }  // namespace
@@ -65,28 +82,14 @@ bool ExhaustiveStream::start_next_program() {
     odometer_.assign(read_regs_.size(), 0);
     outcome_index_ = 0;
     odometer_live_ = true;
-
-    if (options_.track_program_classes) {
-      // A copy, not a fingerprint: hashing is the consumer's job
-      // (ProgramClassTally), so the producer thread never pays it.
-      util::MutexLock lock(pending_mu_);
-      pending_programs_.push_back(program_);
-    }
     return true;
   }
   return false;
 }
 
 void ExhaustiveStream::build_program() {
-  // ---- Materialize the (cur_a_, cur_b_) program and its read
-  // odometer domains.  Deterministic in the pair alone, so a restored
-  // cursor re-derives the identical program. ----
   std::map<int, int> values;
-  core::Reg next_reg = 0;
-  std::vector<core::Thread> threads;
-  threads.push_back(shapes::materialize(shapes_[cur_a_], values, next_reg));
-  threads.push_back(shapes::materialize(shapes_[cur_b_], values, next_reg));
-  program_ = core::Program(std::move(threads));
+  program_ = build_pair_program(shapes_[cur_a_], shapes_[cur_b_], values);
 
   read_regs_.clear();
   read_domain_.clear();
@@ -103,26 +106,14 @@ void ExhaustiveStream::build_program() {
   }
 }
 
-void ExhaustiveStream::take_new_programs(std::vector<core::Program>& out) {
-  util::MutexLock lock(pending_mu_);
-  if (out.empty()) {
-    out.swap(pending_programs_);
-  } else {
-    for (auto& program : pending_programs_) {
-      out.push_back(std::move(program));
-    }
-    pending_programs_.clear();
-  }
-}
-
 namespace {
 // Version 2 added the options digest word (the dep-extended space made
 // in-range-but-wrong stale cursors a real hazard); version 3 dropped
-// the program-class set from the payload (class accounting moved to
-// ProgramClassTally, making every snapshot O(1) words — serializing
-// the growing set per chunk dominated the with-dep stream's producer
-// thread).  Older cursors are rejected, which degrades a resume to a
-// from-scratch run.
+// the program-class set from the payload (making every snapshot O(1)
+// words — serializing the growing set per chunk dominated the with-dep
+// stream's producer thread; program classes are now counted from the
+// bounds by count_program_classes).  Older cursors are rejected, which
+// degrades a resume to a from-scratch run.
 constexpr std::uint64_t kCursorVersion = 3;
 }  // namespace
 
@@ -179,12 +170,6 @@ bool ExhaustiveStream::restore_cursor(
   emitted_.programs = static_cast<long long>(cursor[9]);
   emitted_.tests = static_cast<long long>(cursor[10]);
   odometer_live_ = live;
-  {
-    // A restore is a position reset: programs queued before it no
-    // longer correspond to the stream's past.
-    util::MutexLock lock(pending_mu_);
-    pending_programs_.clear();
-  }
 
   const auto reject = [this] {
     // A cursor inconsistent with this stream's shapes: reset to a fresh
@@ -263,71 +248,36 @@ ExhaustiveCounts ExhaustiveStream::count(const ExhaustiveOptions& options) {
   return counts;
 }
 
-void ProgramClassTally::absorb(std::vector<core::Program>& programs) {
-  for (const auto& program : programs) {
-    classes_.insert(
-        litmus::canonical_fingerprint(program, core::Outcome{}, scratch_));
+long long count_program_classes(const ExhaustiveOptions& options) {
+  const auto shapes = shapes::all_thread_shapes(options.bounds);
+  std::unordered_set<util::Key128, util::Key128Hash> classes;
+  litmus::KeyScratch scratch;
+  std::map<int, int> values;
+  for (const auto& a : shapes) {
+    for (const auto& b : shapes) {
+      if (options.communicating_only && !shapes::communicates(a, b)) continue;
+      classes.insert(litmus::canonical_fingerprint(
+          build_pair_program(a, b, values), core::Outcome{}, scratch));
+    }
   }
-  programs.clear();
-}
-
-void ProgramClassTally::export_state(std::vector<std::uint64_t>& out) const {
-  std::vector<util::Key128> sorted(classes_.begin(), classes_.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const util::Key128& a, const util::Key128& b) {
-              return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-            });
-  out.push_back(sorted.size());
-  for (const auto& key : sorted) {
-    out.push_back(key.hi);
-    out.push_back(key.lo);
-  }
-}
-
-bool ProgramClassTally::restore_state(const std::vector<std::uint64_t>& data) {
-  classes_.clear();
-  if (data.empty()) return false;
-  const std::uint64_t count = data[0];
-  if (data.size() - 1 != count * 2) return false;
-  std::size_t pos = 1;
-  for (std::uint64_t c = 0; c < count; ++c) {
-    util::Key128 key;
-    key.hi = data[pos++];
-    key.lo = data[pos++];
-    classes_.insert(key);
-  }
-  return true;
+  return static_cast<long long>(classes.size());
 }
 
 ReductionCounts measure_reduction(const ExhaustiveOptions& options) {
-  ExhaustiveOptions tracked = options;
-  tracked.track_program_classes = true;
-  ExhaustiveStream stream(tracked);
-
-  // Classes are counted as 128-bit canonical fingerprints (run_stream's
-  // audit mode verifies fingerprint-equality == key-equality on the
-  // same space).
+  ExhaustiveStream stream(options);
+  // Classes are counted as 128-bit canonical fingerprints (the key
+  // audit in tests/key_audit.h verifies fingerprint-equality ==
+  // key-equality on the same spaces).
   std::unordered_set<util::Key128, util::Key128Hash> test_classes;
   litmus::KeyScratch scratch;
-  ProgramClassTally programs;
-  std::vector<core::Program> drained;
-  std::vector<litmus::LitmusTest> chunk;
-  bool more = true;
-  while (more) {
-    chunk.clear();
-    more = stream.next_chunk(chunk);
-    for (const auto& test : chunk) {
-      test_classes.insert(litmus::canonical_fingerprint(test, scratch));
-    }
-    // Drain per chunk so pending program copies never pile up.
-    stream.take_new_programs(drained);
-    programs.absorb(drained);
-  }
+  engine::for_each_test(stream, [&](const litmus::LitmusTest& test) {
+    test_classes.insert(litmus::canonical_fingerprint(test, scratch));
+  });
 
   ReductionCounts counts;
   counts.programs = stream.emitted().programs;
   counts.tests = stream.emitted().tests;
-  counts.canonical_programs = programs.count();
+  counts.canonical_programs = count_program_classes(options);
   counts.canonical_tests = static_cast<long long>(test_classes.size());
   return counts;
 }

@@ -19,17 +19,12 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/test_stream.h"
 #include "enumeration/naive.h"
 #include "enumeration/shapes.h"
 #include "litmus/test.h"
-#include "util/hash128.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace mcmc::enumeration {
 
@@ -42,13 +37,6 @@ struct ExhaustiveOptions {
   /// Drop programs whose threads never interact (the reduced-baseline
   /// filter); the full naive space keeps them.
   bool communicating_only = false;
-  /// Queue a copy of every newly started program for consumer-side
-  /// class accounting (drain with ExhaustiveStream::take_new_programs,
-  /// hash with ProgramClassTally).  The producer thread only copies —
-  /// fingerprinting happens on whichever thread drains, so program
-  /// accounting never slows chunk production.  Pending programs
-  /// accumulate until drained: leave this off unless something drains.
-  bool track_program_classes = false;
 };
 
 /// What a stream (or the counting walk) has produced.
@@ -75,8 +63,9 @@ class ExhaustiveStream final : public engine::TestSource {
   /// Serializes the full generator position — shape-pair cursor,
   /// odometer, and emitted counters — so a fresh stream with equal
   /// options resumes bit-for-bit: same remaining tests, same chunk
-  /// boundaries, same "x<p>.<o>" names.  O(1) words: program-class
-  /// accounting lives outside the stream (ProgramClassTally), so a
+  /// boundaries, same "x<p>.<o>" names.  O(1) words: the stream keeps
+  /// no per-program state beyond the current one (program classes are
+  /// a function of the bounds, see count_program_classes), so a
   /// per-chunk snapshot never serializes a growing set.
   [[nodiscard]] bool snapshot_cursor(
       std::vector<std::uint64_t>& out) const override;
@@ -94,12 +83,6 @@ class ExhaustiveStream final : public engine::TestSource {
   [[nodiscard]] bool done() const;
   [[nodiscard]] const ExhaustiveCounts& emitted() const { return emitted_; }
   [[nodiscard]] const ExhaustiveOptions& options() const { return options_; }
-
-  /// Drains the programs started since the last drain (requires
-  /// options.track_program_classes) by appending them to `out`.
-  /// Thread-safe against the producing next_chunk, so a consumer-side
-  /// accountant can drain per chunk while a prefetcher produces ahead.
-  void take_new_programs(std::vector<core::Program>& out);
 
   /// Counting-only walk of the same generator core: the totals a full
   /// drain of a fresh stream with these options would emit.
@@ -131,43 +114,16 @@ class ExhaustiveStream final : public engine::TestSource {
   std::vector<int> read_domain_;             // 1 + writes to the read's loc
   std::vector<int> odometer_;                // current outcome assignment
   bool odometer_live_ = false;
-
-  // Programs started but not yet drained (track_program_classes only).
-  // The producer appends a copy per program; take_new_programs empties
-  // it under the same mutex.  Bounded in practice by however far the
-  // prefetcher runs ahead of the draining consumer.
-  mutable util::Mutex pending_mu_;
-  std::vector<core::Program> pending_programs_ GUARDED_BY(pending_mu_);
 };
 
-/// Consumer-side accumulator of canonical program classes: feed it the
-/// programs drained from ExhaustiveStream::take_new_programs.  Classes
-/// are 128-bit canonical fingerprints (16 bytes per class, computed
-/// without Analysis or key strings; see util/hash128.h for the
-/// collision margin).  Absorbing is idempotent — re-absorbing programs
-/// replayed across a checkpoint resume cannot inflate the count.
-class ProgramClassTally {
- public:
-  /// Fingerprints and forgets `programs` (cleared on return).
-  void absorb(std::vector<core::Program>& programs);
-
-  [[nodiscard]] long long count() const {
-    return static_cast<long long>(classes_.size());
-  }
-
-  /// Appends [count, (hi, lo)...] in sorted key order, so equal
-  /// tallies export identical words (checkpoint payloads stay
-  /// deterministic in the tally's content).
-  void export_state(std::vector<std::uint64_t>& out) const;
-
-  /// Re-adopts an export_state image (replacing the current classes);
-  /// false — with the tally left empty — if the words are malformed.
-  [[nodiscard]] bool restore_state(const std::vector<std::uint64_t>& data);
-
- private:
-  std::unordered_set<util::Key128, util::Key128Hash> classes_;
-  litmus::KeyScratch scratch_;
-};
+/// Canonical program classes of the space defined by `options`: the
+/// distinct canonical_fingerprint(program, Outcome{}) over every
+/// program the stream would start, in the same order and under the
+/// same communicating_only filter.  A function of the options alone —
+/// it walks the shape pairs and builds each program once, with no
+/// outcomes, tests or stream.
+[[nodiscard]] long long count_program_classes(
+    const ExhaustiveOptions& options);
 
 /// Symmetry reduction measured by the canonical-key machinery
 /// (litmus::canonical_key: thread exchange x location renaming x
@@ -181,18 +137,6 @@ struct ReductionCounts {
   long long tests = 0;              ///< tests walked
   long long canonical_programs = 0; ///< unique program classes
   long long canonical_tests = 0;    ///< unique (program, outcome) classes
-
-  [[nodiscard]] double program_ratio() const {
-    return canonical_programs == 0
-               ? 0.0
-               : static_cast<double>(programs) /
-                     static_cast<double>(canonical_programs);
-  }
-  [[nodiscard]] double test_ratio() const {
-    return canonical_tests == 0 ? 0.0
-                                : static_cast<double>(tests) /
-                                      static_cast<double>(canonical_tests);
-  }
 };
 
 [[nodiscard]] ReductionCounts measure_reduction(

@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "enumeration/exhaustive.h"
@@ -444,6 +445,39 @@ TEST(CanonicalProperty, TinySpaceClassCountsAreExact) {
   const auto naive = enumeration::count_naive(tiny.bounds);
   EXPECT_EQ(naive.reduced_programs, 18);
   EXPECT_EQ(naive.reduced_tests, 86);
+}
+
+// Program classes are a function of the bounds: count_program_classes
+// walks the shape pairs without streaming, and must agree with the
+// classes of the programs the stream actually delivers.
+TEST(ProgramClasses, CountMatchesStreamedProgramsOfTwoAccessSlices) {
+  for (const bool deps : {false, true}) {
+    for (const bool communicating_only : {false, true}) {
+      enumeration::ExhaustiveOptions options;
+      options.bounds.max_accesses_per_thread = 2;
+      options.bounds.deps = deps;
+      options.communicating_only = communicating_only;
+
+      enumeration::ExhaustiveStream stream(options);
+      std::unordered_set<util::Key128, util::Key128Hash> streamed;
+      litmus::KeyScratch scratch;
+      engine::for_each_test(stream, [&](const litmus::LitmusTest& test) {
+        streamed.insert(litmus::canonical_fingerprint(
+            test.program(), core::Outcome{}, scratch));
+      });
+
+      const long long counted = enumeration::count_program_classes(options);
+      EXPECT_EQ(counted, static_cast<long long>(streamed.size()))
+          << "deps=" << deps << " communicating_only=" << communicating_only;
+      if (!communicating_only) {
+        EXPECT_EQ(counted, deps ? 1170 : 558);
+      }
+    }
+  }
+}
+
+TEST(ProgramClasses, FullNoDepSpaceHas74702Classes) {
+  EXPECT_EQ(enumeration::count_program_classes({}), 74702);
 }
 
 }  // namespace

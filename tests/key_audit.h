@@ -17,16 +17,23 @@
 // Feed it a vector (add) or wrap a source (AuditedSource); the audit
 // costs an Analysis and a key string per test plus one retained string
 // per class, so it belongs in tests, not in the pipeline it checks.
+//
+// A vector's keys are computed on a few worker threads (one KeyScratch
+// each), then folded into the class maps serially in vector order, so
+// the counts are those of a one-test-at-a-time audit.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/analysis.h"
 #include "engine/test_stream.h"
+#include "engine/thread_pool.h"
 #include "litmus/test.h"
 #include "util/hash128.h"
 
@@ -34,27 +41,29 @@ namespace mcmc::key_audit {
 
 class KeyAudit {
  public:
-  void add(const litmus::LitmusTest& test) {
-    ++tests_;
-    // The fingerprint first: canonical_key's result aliases scratch_.
-    const util::Key128 fingerprint =
-        litmus::canonical_fingerprint(test, scratch_);
-    const core::Analysis analysis(test.program());
-    const std::string& key =
-        litmus::canonical_key(analysis, test.outcome(), scratch_);
-    const auto known = fingerprint_of_.find(key);
-    if (known != fingerprint_of_.end()) {
-      if (known->second != fingerprint) ++splits_;
-      return;
-    }
-    // A new class.  Its fingerprint can only be known already if
-    // another class claimed it.
-    if (!fingerprints_.insert(fingerprint).second) ++collisions_;
-    fingerprint_of_.emplace(key, fingerprint);
-  }
+  KeyAudit()
+      : pool_(static_cast<int>(
+            std::clamp(std::thread::hardware_concurrency(), 1U, 4U))),
+        scratch_(static_cast<std::size_t>(pool_.num_threads())) {}
 
   void add(const std::vector<litmus::LitmusTest>& tests) {
-    for (const auto& test : tests) add(test);
+    const std::size_t n = tests.size();
+    batch_fingerprints_.resize(n);
+    batch_keys_.resize(n);
+    const std::size_t workers = scratch_.size();
+    pool_.parallel_for(workers, [&](std::size_t w) {
+      litmus::KeyScratch& scratch = scratch_[w];
+      for (std::size_t i = w; i < n; i += workers) {
+        batch_fingerprints_[i] =
+            litmus::canonical_fingerprint(tests[i], scratch);
+        const core::Analysis analysis(tests[i].program());
+        batch_keys_[i] =
+            litmus::canonical_key(analysis, tests[i].outcome(), scratch);
+      }
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      fold(batch_fingerprints_[i], batch_keys_[i]);
+    }
   }
 
   /// Tests audited.
@@ -67,7 +76,24 @@ class KeyAudit {
   [[nodiscard]] std::size_t splits() const { return splits_; }
 
  private:
-  litmus::KeyScratch scratch_;
+  void fold(const util::Key128& fingerprint, const std::string& key) {
+    ++tests_;
+    const auto known = fingerprint_of_.find(key);
+    if (known != fingerprint_of_.end()) {
+      if (known->second != fingerprint) ++splits_;
+      return;
+    }
+    // A new class.  Its fingerprint can only be known already if
+    // another class claimed it.
+    if (!fingerprints_.insert(fingerprint).second) ++collisions_;
+    fingerprint_of_.emplace(key, fingerprint);
+  }
+
+  engine::WorkStealingPool pool_;
+  std::vector<litmus::KeyScratch> scratch_;  // one per pool thread
+  // Per-test results of the batch being added, reused across batches.
+  std::vector<util::Key128> batch_fingerprints_;
+  std::vector<std::string> batch_keys_;
   std::unordered_map<std::string, util::Key128> fingerprint_of_;
   std::unordered_set<util::Key128, util::Key128Hash> fingerprints_;
   std::size_t tests_ = 0;
@@ -84,9 +110,8 @@ class AuditedSource final : public engine::TestSource {
       : inner_(inner), audit_(audit) {}
 
   bool next_chunk(std::vector<litmus::LitmusTest>& out) override {
-    const std::size_t first = out.size();
     const bool more = inner_.next_chunk(out);
-    for (std::size_t i = first; i < out.size(); ++i) audit_.add(out[i]);
+    audit_.add(out);
     return more;
   }
 

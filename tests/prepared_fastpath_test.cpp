@@ -88,18 +88,6 @@ TEST(PreparedAllocation, PreparedExplicitCheckIsAllocationFree) {
   }
 }
 
-TEST(PreparedAllocation, TestAPreparedCheckIsAllocationFree) {
-  const auto t = litmus::test_a();
-  const core::PreparedTest prep(t.program(), t.outcome());
-  const auto model = models::tso();
-  bool verdict = false;
-  const std::size_t allocs = allocations_during(
-      [&] { verdict = prep.allowed(model, core::Engine::Explicit); });
-  EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(verdict, core::is_allowed(prep.analysis(), model, t.outcome(),
-                                      core::Engine::Explicit));
-}
-
 TEST(PreparedAllocation, ClassicExplicitDecisionIsAllocationFree) {
   // The rewritten ExplicitSearch (fixed closure arrays + frame-local
   // stack copies) must not allocate when no witness is requested.

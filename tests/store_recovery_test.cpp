@@ -249,6 +249,35 @@ TEST_F(StoreRecovery, CrossSpaceCheckpointIsRejectedWhole) {
   EXPECT_EQ(resumed.tests_delivered, reference().report.stream.tests_streamed);
 }
 
+// A harness checkpoint written in the old version-2 sink layout (an
+// extra length-prefixed section after the fold state) must be rejected
+// whole: the resumed run streams the slice from the start and still
+// lands on the reference.
+TEST_F(StoreRecovery, VersionTwoSinkPayloadIsRejectedWhole) {
+  const SliceRun killed = run_slice_with_store(path_, nullptr, false, 2);
+  ASSERT_TRUE(killed.interrupted);
+  {
+    auto opened = store::VerdictStore::open(
+        path_, explore::harness_store_meta(ninety_models()));
+    ASSERT_EQ(opened.outcome, store::OpenOutcome::Loaded);
+    ASSERT_TRUE(opened.store->checkpoint().has_value());
+    store::StreamCheckpoint ck = *opened.store->checkpoint();
+    ASSERT_FALSE(ck.sink_state.empty());
+    ASSERT_EQ(ck.sink_state[0], 3u);
+    ck.sink_state[0] = 2;
+    ck.sink_state.push_back(0);  // the empty extra section
+    opened.store->set_checkpoint(std::move(ck));
+    std::string error;
+    ASSERT_TRUE(opened.store->save(path_, nullptr, &error)) << error;
+  }
+
+  const SliceRun resumed = run_slice_with_store(path_, nullptr, true, -1);
+  ASSERT_FALSE(resumed.interrupted);
+  ASSERT_EQ(resumed.outcome, store::OpenOutcome::Loaded);
+  expect_matches_reference(resumed);
+  EXPECT_EQ(resumed.tests_delivered, reference().report.stream.tests_streamed);
+}
+
 // A warm rerun against the completed store must serve essentially every
 // verdict from disk — the artifact-reload gate CI enforces at >= 99%.
 TEST_F(StoreRecovery, WarmRerunServesVerdictsFromStore) {

@@ -159,7 +159,7 @@ TEST(ChunkPrefetcher, DeliversSameChunksAsDirectDrain) {
   }
 
   engine::VectorSource wrapped(suite, 13);
-  engine::ChunkPrefetcher prefetcher(wrapped, 2);
+  engine::ChunkPrefetcher prefetcher(wrapped);
   std::vector<std::vector<std::string>> prefetched_chunks;
   {
     std::vector<litmus::LitmusTest> chunk;
@@ -182,9 +182,9 @@ TEST(ChunkPrefetcher, DeliversSameChunksAsDirectDrain) {
 
 TEST(ChunkPrefetcher, EarlyDestructionDoesNotHang) {
   const auto suite = enumeration::corollary1_suite(true);
-  engine::VectorSource wrapped(suite, 1);  // many small chunks, depth 1
+  engine::VectorSource wrapped(suite, 1);  // many small chunks
   {
-    engine::ChunkPrefetcher prefetcher(wrapped, 1);
+    engine::ChunkPrefetcher prefetcher(wrapped);
     std::vector<litmus::LitmusTest> chunk;
     (void)prefetcher.next_chunk(chunk);  // consume one, abandon the rest
   }
@@ -215,7 +215,7 @@ TEST(ChunkPrefetcher, ProducerExceptionSurfacesAfterEarlierChunks) {
   auto suite = enumeration::corollary1_suite(false);
   suite.erase(suite.begin() + 4, suite.end());
   ThrowingSource source(suite);
-  engine::ChunkPrefetcher prefetcher(source, 2);
+  engine::ChunkPrefetcher prefetcher(source);
   std::vector<litmus::LitmusTest> chunk;
   EXPECT_TRUE(prefetcher.next_chunk(chunk));  // the good chunk arrives
   EXPECT_EQ(chunk.size(), 4u);
